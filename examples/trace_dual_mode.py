@@ -28,9 +28,8 @@ def main():
     program = pb.finish()
 
     compiled = compile_program(program, 4, "hybrid")
-    machine = VoltronMachine(compiled, four_core())
-    tracer = Tracer.attach(machine, limit=50_000)
-    machine.run()
+    tracer = Tracer(limit=50_000)
+    VoltronMachine(compiled, four_core(), obs=tracer).run()
 
     # Find the first mode switch: the coupled->decoupled boundary.
     switch = next(

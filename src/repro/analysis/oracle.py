@@ -124,7 +124,7 @@ def check_program(
             mutate(compiled)
         sanitizer = RaceSanitizer()
         machine = VoltronMachine(
-            compiled, config, max_cycles=max_cycles, sanitizer=sanitizer
+            compiled, config, max_cycles=max_cycles, obs=sanitizer
         )
         machine.run()
         checked_dynamic += 1

@@ -192,7 +192,7 @@ def verify_benchmark(
 
         sanitizer = RaceSanitizer()
         machine = VoltronMachine(
-            compiled, config, max_cycles=max_cycles, sanitizer=sanitizer
+            compiled, config, max_cycles=max_cycles, obs=sanitizer
         )
         machine.run()
         report.count("dynamic_accesses", sanitizer.checked_accesses)

@@ -879,7 +879,7 @@ def _cmd_verify(args, out) -> int:
                 from ..sim.machine import VoltronMachine
 
                 sanitizer = RaceSanitizer()
-                machine = VoltronMachine(compiled, config, sanitizer=sanitizer)
+                machine = VoltronMachine(compiled, config, obs=sanitizer)
                 machine.run()
                 report.count("dynamic_accesses", sanitizer.checked_accesses)
                 for finding in sanitizer.findings:

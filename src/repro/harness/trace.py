@@ -1,14 +1,28 @@
 """Execution tracing: a per-cycle, per-core timeline of a simulation.
 
-Attach a :class:`Tracer` to a :class:`VoltronMachine` before running and
-render the collected events as a text timeline -- a poor man's pipeline
-diagram, invaluable for seeing lock-step PUT/GET alignment, queue-mode
-decoupling, barriers, and transaction retries at a glance.
+A :class:`Tracer` is a probe consumer (:mod:`repro.sim.probe`), attached
+like every simulator observer, and renders what it collected as a text
+timeline -- a poor man's pipeline diagram, invaluable for seeing
+lock-step PUT/GET alignment, queue-mode decoupling, barriers, and
+transaction retries at a glance::
 
-    machine = VoltronMachine(compiled, config)
-    tracer = Tracer.attach(machine, limit=4000)
-    machine.run()
+    tracer = Tracer(limit=4000)
+    VoltronMachine(compiled, config, obs=tracer).run()
     print(tracer.render(start=0, end=80))
+
+It implements one event of the contract:
+
+===========================  ==============================================
+event                        emitted by
+===========================  ==============================================
+``issue(cycle, core, op)``   the machine, once per issued op -- exactly
+                             where ``CoreStats.ops_executed`` counts it
+===========================  ==============================================
+
+So the trace holds ``stats.total_ops()`` events (until ``limit``), a
+RECV still waiting for its message is a blank stall cell, and the trace
+is the same with stall fast-forwarding on or off (skipped cycles issue
+nothing).
 """
 
 from __future__ import annotations
@@ -85,23 +99,20 @@ class TraceEvent:
 
 @dataclass
 class Tracer:
-    """Collects (cycle, core, op) execution events from a machine."""
+    """Collects (cycle, core, op) issue events from one machine run."""
 
-    n_cores: int
     limit: int = 100_000
+    n_cores: int = 0
     events: List[TraceEvent] = field(default_factory=list)
     truncated: bool = False
     #: Events discarded after the limit was hit (so a truncated render
     #: says how much of the run it is blind to).
     dropped: int = 0
 
-    @classmethod
-    def attach(cls, machine, limit: int = 100_000) -> "Tracer":
-        tracer = cls(n_cores=machine.config.n_cores, limit=limit)
-        machine.op_observers.append(tracer._record)
-        return tracer
+    def attach(self, machine) -> None:
+        self.n_cores = machine.config.n_cores
 
-    def _record(self, cycle: int, core: int, op: Operation) -> None:
+    def issue(self, cycle: int, core: int, op: Operation) -> None:
         if len(self.events) >= self.limit:
             self.truncated = True
             self.dropped += 1

@@ -3,12 +3,12 @@
 The package is a zero-overhead-when-disabled instrumentation layer for
 the Voltron simulator.  An :class:`Observability` instance is the event
 bus: pass one to ``VoltronMachine(..., obs=...)`` (or through
-``repro.api.run_cell(..., obs=...)``) and the machine wires typed probes
-into every subsystem with something worth watching -- mode switches,
-stall attribution, fast-forward windows, operand-network traffic, cache
-misses, transactions, and fault injections.  With no observer attached
-every hook is a single ``is None`` check, so performance runs and the
-fast-forward differential suite are untouched.
+``repro.api.run_cell(..., obs=...)``) and it consumes the simulator's
+probe events (:mod:`repro.sim.probe`) -- mode switches, stall
+attribution, fast-forward windows, operand-network traffic, cache
+misses, transactions, fault injections, and recovery actions.  With no
+observer attached every emitting site is a single ``is None`` check, so
+performance runs and the fast-forward differential suite are untouched.
 
 On top of the bus:
 

@@ -1,16 +1,29 @@
-"""The observability event bus: typed probes, attached once per run.
+"""The observability event bus: a probe consumer that records a timeline.
+
+:class:`Observability` is attached the one way every simulator observer
+is (:mod:`repro.sim.probe`): ``VoltronMachine(..., obs=Observability())``.
+It implements these events of the probe contract:
+
+==============================================  ================================================
+event                                           emitted by
+==============================================  ================================================
+``stall(core, category, cycles)``               ``CoreStats.stall``, stepped or fast-forwarded
+``net_send(cycle, src, dst, kind, seq, arr.)``  ``OperandNetwork.send``
+``net_recv(cycle, seq)``                        ``OperandNetwork.try_receive`` / ``peek_control``
+``tx_begin`` / ``tx_commit`` / ``tx_abort``     ``TransactionalMemory``
+``cache_miss`` / ``icache_miss``                data-cache fabric / ``L1ICache``
+``fault(channel, delay)``                       ``FaultPlan``, per landed injection
+``recovery(cycle, kind, core, ...)``            ``RecoveryManager``
+``mode_switch`` / ``cycle`` / ``finalize``      the machine's cycle loop
+``fast_forward_window(start, end)``             the machine's fast-forward kernel
+==============================================  ================================================
 
 Design constraints (in priority order):
 
-1. **Zero overhead when disabled.**  Every instrumented subsystem holds
-   an ``obs`` attribute defaulting to ``None`` and guards its probe with
-   a single ``if self.obs is not None:`` -- the same discipline the
-   fault-injection hooks follow.  Stall attribution goes further: with
-   no observer the per-core ``CoreStats.stall`` method is untouched;
-   attaching one swaps in a recording wrapper on the *instance*, so the
-   disabled path pays nothing at all.
-2. **Reconciles exactly.**  Stall spans are recorded by intercepting the
-   very ``CoreStats.stall`` calls that build ``MachineStats`` -- both the
+1. **Zero overhead when disabled.**  With no consumer every emitting
+   site is a single ``is None`` check; nothing is wrapped or patched.
+2. **Reconciles exactly.**  Stall spans come from the very
+   ``CoreStats.stall`` calls that build ``MachineStats`` -- both the
    per-cycle attributions and the fast-forward bulk credits -- so the
    timeline totals equal the aggregate stats *by construction*, and
    :func:`repro.obs.timeline.reconcile` asserts it per run.
@@ -30,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.stats import CoreStats
 from .series import MetricsSeries
 
 
@@ -163,8 +175,8 @@ class Observability:
     # -- attachment ---------------------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Wire the probes into one machine.  Called by
-        ``VoltronMachine.__init__``; an instance observes exactly one run."""
+        """Called by ``VoltronMachine.__init__``; an instance observes
+        exactly one run."""
         if self.machine is not None:
             raise RuntimeError(
                 "this Observability instance already observed a machine; "
@@ -175,40 +187,8 @@ class Observability:
         self.stall_spans = [[] for _ in range(self.n_cores)]
         self.series = MetricsSeries(self.config.sample_stride, self.n_cores)
         self._mode_open = (machine.cycle, machine.mode)
-        machine.network.obs = self
-        machine.tm.obs = self
-        machine.bus.obs = self
-        for index, icache in enumerate(machine.icaches):
-            icache.obs = self
-            icache.core_index = index
-        if machine.faults is not None:
-            machine.faults.obs = self
-        if machine.recovery is not None:
-            machine.recovery.obs = self
-        for core in machine.cores:
-            self._hook_stall(core.id, core.stats)
         if self.config.single_step:
             machine.fast_forward = False
-
-    def _hook_stall(self, core_id: int, stats: CoreStats) -> None:
-        """Swap a recording wrapper onto this instance's ``stall`` method.
-        Catches every attribution path -- per-cycle stepping *and* the
-        fast-forward bulk credits -- and run-length merges contiguous
-        same-category cycles into spans."""
-        original = stats.stall
-        spans = self.stall_spans[core_id]
-
-        def stall(category: str, cycles: int = 1) -> None:
-            original(category, cycles)
-            cycle = self.machine.cycle
-            if spans:
-                last = spans[-1]
-                if last[2] == category and last[0] + last[1] == cycle:
-                    last[1] += cycles
-                    return
-            spans.append([cycle, cycles, category])
-
-        stats.stall = stall
 
     # -- bounded event storage -----------------------------------------------------
 
@@ -219,7 +199,19 @@ class Observability:
         self._n_events += 1
         bucket.append(event)
 
-    # -- typed probes --------------------------------------------------------------
+    # -- probe events (see repro.sim.probe) ----------------------------------------
+
+    def stall(self, core: int, category: str, cycles: int) -> None:
+        """Run-length merge contiguous same-category stall cycles into
+        spans; fast-forward bulk credits arrive here too."""
+        spans = self.stall_spans[core]
+        cycle = self.machine.cycle
+        if spans:
+            last = spans[-1]
+            if last[2] == category and last[0] + last[1] == cycle:
+                last[1] += cycles
+                return
+        spans.append([cycle, cycles, category])
 
     def cycle(self, cycle: int) -> None:
         """Per-cycle hook from the machine's run loop (stepped cycles
@@ -238,23 +230,19 @@ class Observability:
         """The clock jumped from ``start`` to ``end`` over a provable stall."""
         self._append(self.ff_windows, (start, end))
 
-    def tx_begin(self, core: int, region: int, order: int) -> None:
+    def _tx(self, core: int, region: int, order: int, kind: str) -> None:
         self._append(
-            self.tx_events,
-            TxEvent(self.machine.cycle, core, region, order, "begin"),
+            self.tx_events, TxEvent(self.machine.cycle, core, region, order, kind)
         )
+
+    def tx_begin(self, core: int, region: int, order: int) -> None:
+        self._tx(core, region, order, "begin")
 
     def tx_commit(self, core: int, region: int, order: int) -> None:
-        self._append(
-            self.tx_events,
-            TxEvent(self.machine.cycle, core, region, order, "commit"),
-        )
+        self._tx(core, region, order, "commit")
 
     def tx_abort(self, core: int, region: int, order: int) -> None:
-        self._append(
-            self.tx_events,
-            TxEvent(self.machine.cycle, core, region, order, "abort"),
-        )
+        self._tx(core, region, order, "abort")
 
     def net_send(
         self, cycle: int, src: int, dst: int, kind: str, seq: int, arrival: int

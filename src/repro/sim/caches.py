@@ -158,10 +158,9 @@ class L1ICache:
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: fetches occasionally take extra cycles even on a hit.
         self.faults = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus and
-        #: the owning core's index (both set by Observability.attach).
-        self.obs = None
-        self.core_index = -1
+        #: Probe event, bound with the owning core's id by the machine
+        #: (see :mod:`repro.sim.probe`).
+        self.on_icache_miss = None
 
     def access(self, addr: int, l2: SharedL2, memory_latency: int) -> int:
         """Extra fetch cycles: 0 on a hit, L2/memory latency on a miss."""
@@ -179,8 +178,8 @@ class L1ICache:
         array.insert(line_addr, SHARED)
         extra = 0 if self.faults is None else self.faults.ifetch_delay()
         latency = (l2.config.hit_latency if l2_hit else memory_latency) + extra
-        if self.obs is not None:
-            self.obs.icache_miss(self.core_index, latency)
+        if self.on_icache_miss is not None:
+            self.on_icache_miss(latency)
         return latency
 
 
@@ -203,9 +202,8 @@ class SnoopBus:
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: data accesses occasionally take extra cycles, hit or miss.
         self.faults = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, data-cache misses emit probe events.
-        self.obs = None
+        #: Probe event (bound by the machine, see :mod:`repro.sim.probe`).
+        self.on_cache_miss = None
 
     # -- public interface ----------------------------------------------------
 
@@ -236,8 +234,8 @@ class SnoopBus:
         if evicted is not None and evicted[1] in (MODIFIED, OWNED):
             self.l2.writeback(evicted[0])
         cycles = hit_latency + supplier_latency + fault_extra
-        if self.obs is not None:
-            self.obs.cache_miss(core, cycles)
+        if self.on_cache_miss is not None:
+            self.on_cache_miss(core, cycles)
         return cycles, True
 
     def flush_core(self, core: int) -> None:
@@ -368,8 +366,8 @@ class DirectoryCoherence(SnoopBus):
             hit_latency + self.directory_latency + supplier_latency
             + fault_extra
         )
-        if self.obs is not None:
-            self.obs.cache_miss(core, cycles)
+        if self.on_cache_miss is not None:
+            self.on_cache_miss(core, cycles)
         return cycles, True
 
     def flush_core(self, core: int) -> None:

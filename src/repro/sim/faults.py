@@ -151,13 +151,19 @@ def _stream(seed: int, channel: str) -> random.Random:
 
 
 class _Channel:
-    """One injection channel: geometric inter-arrival, bounded delays."""
+    """One injection channel: geometric inter-arrival, bounded delays.
+    Every fire is reported as the plan's ``fault`` probe event."""
 
-    __slots__ = ("rng", "rate", "max_delay", "countdown", "fires",
-                 "injected_cycles")
+    __slots__ = ("plan", "event", "rng", "rate", "max_delay", "countdown",
+                 "fires", "injected_cycles")
 
-    def __init__(self, seed: int, name: str, rate: float, max_delay: int) -> None:
-        self.rng = _stream(seed, name)
+    def __init__(self, plan: "FaultPlan", name: str, rate: float,
+                 max_delay: int) -> None:
+        self.plan = plan
+        # The stream is keyed by the channel name; the event carries its
+        # identifier spelling ("stall-bus" -> "stall_bus").
+        self.event = name.replace("-", "_")
+        self.rng = _stream(plan.config.seed, name)
         self.rate = rate
         self.max_delay = max_delay
         self.fires = 0
@@ -182,6 +188,8 @@ class _Channel:
         delay = self.rng.randint(1, self.max_delay)
         self.fires += 1
         self.injected_cycles += delay
+        if self.plan.on_fault is not None:
+            self.plan.on_fault(self.event, delay)
         return delay
 
 
@@ -195,28 +203,26 @@ class FaultPlan:
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, every landed injection emits a probe event.
-        self.obs = None
-        seed = config.seed
+        #: Probe event (bound by the machine, see :mod:`repro.sim.probe`).
+        self.on_fault = None
         timing = config.profile in ("timing", "both")
         destructive = config.profile in ("destructive", "both")
         rate = config.rate if timing else 0.0
         tm_rate = config.tm_rate if timing else 0.0
-        self._mem = _Channel(seed, "mem", rate, config.max_mem_delay)
-        self._ifetch = _Channel(seed, "ifetch", rate, config.max_mem_delay)
-        self._net = _Channel(seed, "net", rate, config.max_net_delay)
-        self._stall = _Channel(seed, "stall-bus", rate, config.max_stall_hold)
-        self._dir = _Channel(seed, "directory", rate,
+        self._mem = _Channel(self, "mem", rate, config.max_mem_delay)
+        self._ifetch = _Channel(self, "ifetch", rate, config.max_mem_delay)
+        self._net = _Channel(self, "net", rate, config.max_net_delay)
+        self._stall = _Channel(self, "stall-bus", rate, config.max_stall_hold)
+        self._dir = _Channel(self, "directory", rate,
                              config.max_directory_delay)
-        self._vpool = _Channel(seed, "vlink", rate, config.max_vlink_hold)
-        self._tm = _Channel(seed, "tm", tm_rate, 1)
+        self._vpool = _Channel(self, "vlink", rate, config.max_vlink_hold)
+        self._tm = _Channel(self, "tm", tm_rate, 1)
         corrupt = config.corrupt_rate if destructive else 0.0
         drop = config.drop_rate if destructive else 0.0
         blackout = config.blackout_rate if destructive else 0.0
-        self._corrupt = _Channel(seed, "corrupt", corrupt, 1)
-        self._drop = _Channel(seed, "drop", drop, 1)
-        self._blackout = _Channel(seed, "blackout", blackout,
+        self._corrupt = _Channel(self, "corrupt", corrupt, 1)
+        self._drop = _Channel(self, "drop", drop, 1)
+        self._blackout = _Channel(self, "blackout", blackout,
                                   config.max_blackout)
         #: True when the timing channel family is armed.
         self.timing = timing
@@ -235,58 +241,37 @@ class FaultPlan:
 
     def mem_delay(self) -> int:
         """Extra cycles for a data-cache access (0 = no fault)."""
-        delay = self._mem.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("mem", delay)
-        return delay
+        return self._mem.fire()
 
     def ifetch_delay(self) -> int:
         """Extra cycles for an instruction fetch (0 = no fault)."""
-        delay = self._ifetch.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("ifetch", delay)
-        return delay
+        return self._ifetch.fire()
 
     def net_delay(self) -> int:
         """Extra in-flight cycles for a queue-mode message (0 = no fault)."""
-        delay = self._net.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("net", delay)
-        return delay
+        return self._net.fire()
 
     def stall_hold(self) -> int:
         """Cycles to assert the stall bus over a coupled group (0 = none)."""
-        delay = self._stall.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("stall_bus", delay)
-        return delay
+        return self._stall.fire()
 
     def directory_delay(self) -> int:
         """Extra cycles for a directory transaction -- a miss or upgrade
         indirection waiting at a congested home node (0 = no fault).
         Probed only by :class:`~repro.sim.caches.DirectoryCoherence`, so
         snoop-bus machines never consume this stream."""
-        delay = self._dir.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("directory", delay)
-        return delay
+        return self._dir.fire()
 
     def vlink_hold(self) -> int:
         """Extra in-flight cycles for a vlink SEND contending for the
         receiver's shared pool (0 = no fault).  Probed only under the
         ``vlink`` queue policy, so per-pair machines never consume this
         stream."""
-        delay = self._vpool.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("vlink", delay)
-        return delay
+        return self._vpool.fire()
 
     def spurious_conflict(self) -> bool:
         """Whether to abort a validation-passing commit anyway."""
-        fired = self._tm.fire() > 0
-        if fired and self.obs is not None:
-            self.obs.fault("tm", 1)
-        return fired
+        return self._tm.fire() > 0
 
     # -- destructive probes ------------------------------------------------------
 
@@ -296,22 +281,15 @@ class FaultPlan:
         ``'corrupt'`` (delivered with a scrambled payload).  Drops are
         sampled first so the two channels stay independent streams."""
         if self._drop.fire():
-            if self.obs is not None:
-                self.obs.fault("drop", 1)
             return "drop"
         if self._corrupt.fire():
-            if self.obs is not None:
-                self.obs.fault("corrupt", 1)
             return "corrupt"
         return None
 
     def blackout_cycles(self) -> int:
         """Duration of a transient core blackout starting this cycle
         (0 = no fault).  Probed once per eligible core-cycle."""
-        delay = self._blackout.fire()
-        if delay and self.obs is not None:
-            self.obs.fault("blackout", delay)
-        return delay
+        return self._blackout.fire()
 
     # -- accounting -------------------------------------------------------------
 

@@ -68,6 +68,7 @@ from .core import BARRIER_WAIT, HALTED, LISTENING, RUNNING, Core
 from .faults import FaultConfig, FaultPlan
 from .memory import MainMemory
 from .network import NetworkError, OperandNetwork
+from .probe import bind
 from .recovery import RecoveryManager
 from .stats import MachineStats
 from .tm import TransactionalMemory
@@ -110,7 +111,6 @@ class VoltronMachine:
         fast_forward: bool = True,
         faults: Optional[FaultPlan] = None,
         obs=None,
-        sanitizer=None,
     ) -> None:
         if compiled.n_cores != config.n_cores:
             raise ValueError(
@@ -179,10 +179,6 @@ class VoltronMachine:
         # every-core scan in the main loop's continuation test.
         self._halted_count = 0
         self.return_value: Value = None
-        # Optional tracing: callables invoked as fn(cycle, core_id, op)
-        # for every executed operation (kept empty in performance runs;
-        # attaching one disables fast-forwarding so every cycle is visible).
-        self.op_observers: List = []
         # Barriers: kind -> set of arrived core ids.
         self._barrier: Dict[str, Set[int]] = {}
         # Cores released from a barrier become RUNNING at the next cycle
@@ -217,23 +213,11 @@ class VoltronMachine:
         self._memory_latency = config.memory_latency
         self._predecode()
 
-        # Observability (repro.obs): attaching an event bus wires typed
-        # probes into every subsystem; detached, each hook is a single
-        # is-None check, so performance runs and the fast-forward
-        # differential suite are untouched.  Attach last: the bus hooks
-        # the per-core stall methods and the network/TM/cache objects
-        # constructed above.
+        # The one observer, attached last so it sees the fully built
+        # machine: repro.sim.probe.bind sets self.on_<event> and each
+        # subsystem's on_<event> to the observer's handler, or None.
         self.obs = obs
-        if obs is not None:
-            obs.attach(self)
-
-        # Dynamic race sanitizer (repro.analysis): read-only happens-before
-        # probes on the memory/comm/TM handlers, same is-None cost model
-        # as obs.  Attached after obs so its probes see the fully wired
-        # machine (it reads tm/network state but never mutates it).
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            sanitizer.attach(self)
+        bind(self, obs)
 
     # -- pre-decode ----------------------------------------------------------------
 
@@ -292,8 +276,7 @@ class VoltronMachine:
         # single-stepped -- which credits it identically anyway.
         stalled_prev = True
         busy_total = sum(s.busy for s in core_stats)
-        obs = self.obs
-        sanitizer = self.sanitizer
+        on_cycle = self.on_cycle
         try:
             while not self._all_halted():
                 if self.cycle >= self.max_cycles:
@@ -353,18 +336,16 @@ class VoltronMachine:
                         if self.recovery is not None:
                             # Degradation re-arms at mode barriers.
                             self.recovery.on_mode_switch(self.cycle + 1)
-                        if obs is not None:
+                        if self.on_mode_switch is not None:
                             # This cycle still counts under the old mode;
                             # the switch takes effect at cycle + 1.
-                            obs.mode_switch(
+                            self.on_mode_switch(
                                 self.cycle + 1, self.mode, self._mode_next
                             )
-                        if sanitizer is not None:
-                            sanitizer.on_mode_flip(self.mode, self._mode_next)
                     self.mode = self._mode_next
                     self._mode_next = None
-                if obs is not None:
-                    obs.cycle(self.cycle)
+                if on_cycle is not None:
+                    on_cycle(self.cycle)
                 self.cycle += 1
         finally:
             # Flush even when OutOfCycles/Deadlock propagates, so the
@@ -386,8 +367,8 @@ class VoltronMachine:
                 # vectors mid-flight; prove the directory still mirrors
                 # the L1s once the run settles.
                 check_directory()
-        if obs is not None:
-            obs.finalize(self)
+        if self.on_finalize is not None:
+            self.on_finalize(self)
         return self.stats
 
     def final_memory(self) -> Dict[int, Value]:
@@ -457,8 +438,6 @@ class VoltronMachine:
         any situation the classifier cannot prove to be a pure stall makes
         it decline, so single-stepping remains the semantic reference.
         """
-        if self.op_observers:
-            return False
         cycle = self.cycle
         # (stats, category) pairs to bulk-credit per skipped cycle.
         credits: List[Tuple] = []
@@ -607,11 +586,10 @@ class VoltronMachine:
             self.stats.block_cycles[key] = (
                 self.stats.block_cycles.get(key, 0) + skipped
             )
-        if self.obs is not None:
-            # The bulk stall credits above were recorded (via the hooked
-            # per-core stall methods) while self.cycle was still the old
-            # cycle, so their spans already cover [cycle, target).
-            self.obs.fast_forward_window(cycle, target)
+        if self.on_fast_forward_window is not None:
+            # The bulk stall credits above were emitted while self.cycle
+            # was still the old cycle, so they already cover [cycle, target).
+            self.on_fast_forward_window(cycle, target)
         self.cycle = target
         return True
 
@@ -731,17 +709,16 @@ class VoltronMachine:
                             member.stats.stall("latency")
                         return
 
-        observed = bool(self.op_observers)
+        on_issue = self.on_issue
 
         # Issue phase A: drive the direct wires.
         for core, op, handler, wire, _ in issue:
             if wire:
-                if observed:
-                    self._execute(core, op)
-                else:
-                    handler(self, core, op)
+                handler(self, core, op)
                 core.stats.busy += 1
                 core.stats.ops_executed += 1
+                if on_issue is not None:
+                    on_issue(cycle, core.id, op)
 
         # Issue phase B: everything else (GETs read the wires driven above).
         for core, op, handler, wire, _ in issue:
@@ -751,14 +728,13 @@ class VoltronMachine:
                 core.stats.busy += 1
                 outcome = "ok"
             else:
-                if observed:
-                    outcome = self._execute(core, op)
-                elif handler is None:
+                if handler is None:
                     raise SimulatorError(f"unimplemented opcode {op.opcode!r}")
-                else:
-                    outcome = handler(self, core, op)
+                outcome = handler(self, core, op)
                 core.stats.busy += 1
                 core.stats.ops_executed += 1
+                if on_issue is not None:
+                    on_issue(cycle, core.id, op)
                 if outcome == "stall":
                     raise SimulatorError(
                         f"cycle {cycle}: {op!r} stalled in coupled mode "
@@ -883,22 +859,18 @@ class VoltronMachine:
             core.stats.stall("latency")
             return
 
-        if self.op_observers:
-            outcome = self._execute(core, op)
-        else:
-            # Inlined _execute fast path (mirrors coupled-mode phase B).
-            handler = (
-                entry[0][slot]
-                if entry is not None
-                else self._dispatch.get(opcode)
-            )
-            if handler is None:
-                raise SimulatorError(f"unimplemented opcode {opcode!r}")
-            outcome = handler(self, core, op)
+        handler = (
+            entry[0][slot] if entry is not None else self._dispatch.get(opcode)
+        )
+        if handler is None:
+            raise SimulatorError(f"unimplemented opcode {opcode!r}")
+        outcome = handler(self, core, op)
         if outcome == "stall":
             return  # stall already attributed (e.g. empty receive queue)
         core.stats.busy += 1
         core.stats.ops_executed += 1
+        if self.on_issue is not None:
+            self.on_issue(cycle, core.id, op)
         if core.status == RUNNING and outcome == "ok":
             frame = core.frame
             frame.slot += 1
@@ -912,8 +884,6 @@ class VoltronMachine:
             return
         core.stats.busy += 1
         core.status = RUNNING
-        if self.sanitizer is not None:
-            self.sanitizer.on_control_recv(core, message.src)
         if message.kind == "spawn":
             core.jump(message.value)
         else:  # release: move past the LISTEN op
@@ -948,21 +918,6 @@ class VoltronMachine:
 
     # -- operation semantics ----------------------------------------------------------
 
-    def _execute(self, core: Core, op: Operation) -> str:
-        """Execute one op; returns 'ok', 'redirect', or 'stall'."""
-        if self.op_observers:
-            for observer in self.op_observers:
-                observer(self.cycle, core.id, op)
-        frame = core.frame
-        entry = frame.block.decoded
-        if entry is not None:
-            handler = entry[0][frame.slot]
-        else:  # a block assembled after construction: decode on the fly
-            handler = self._dispatch.get(op.opcode)
-        if handler is None:
-            raise SimulatorError(f"unimplemented opcode {op.opcode!r}")
-        return handler(self, core, op)
-
     @staticmethod
     def _recv_category(op: Operation) -> str:
         sync = op.attrs.get("sync")
@@ -979,8 +934,8 @@ class VoltronMachine:
         value = self.tm.load(core.id, addr)
         core.write_reg(op.dest, value, self.cycle + 1 + cycles)
         core.stats.loads += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_load(core, op, addr)
+        if self.on_load is not None:
+            self.on_load(core.id, op, addr)
         if miss or cycles > self.config.l1d.hit_latency:
             core.stats.l1d_misses += miss
             core.block_until(self.cycle + 1 + cycles, "dstall")
@@ -992,8 +947,8 @@ class VoltronMachine:
         cycles, miss = self.bus.access(core.id, addr, is_store=True)
         self.tm.store(core.id, addr, read(op.srcs[2]))
         core.stats.stores += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_store(core, op, addr)
+        if self.on_store is not None:
+            self.on_store(core.id, op, addr)
         if miss or cycles > self.config.l1d.hit_latency:
             core.stats.l1d_misses += miss
             core.block_until(self.cycle + 1 + cycles, "dstall")
@@ -1088,10 +1043,6 @@ class VoltronMachine:
             tag=op.attrs.get("tag"),
         )
         core.stats.messages_sent += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_send(
-                core, op.attrs["target_core"], op.attrs.get("tag")
-            )
         return "ok"
 
     def _do_recv(self, core: Core, op: Operation) -> str:
@@ -1107,10 +1058,6 @@ class VoltronMachine:
         if op.dests:
             core.write_reg(op.dest, message.value, self.cycle + 1)
         core.stats.messages_received += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_recv(
-                core, op.attrs["source_core"], op.attrs.get("tag")
-            )
         return "ok"
 
     def _do_spawn(self, core: Core, op: Operation) -> str:
@@ -1122,16 +1069,12 @@ class VoltronMachine:
             kind="spawn",
         )
         self.stats.spawns += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_control_send(core, op.attrs["target_core"])
         return "ok"
 
     def _do_release(self, core: Core, op: Operation) -> str:
         self.network.send(
             core.id, op.attrs["target_core"], None, self.cycle, kind="release"
         )
-        if self.sanitizer is not None:
-            self.sanitizer.on_control_send(core, op.attrs["target_core"])
         return "ok"
 
     def _do_sleep(self, core: Core, op: Operation) -> str:
@@ -1164,13 +1107,8 @@ class VoltronMachine:
                 self.cycle + 1 + self.config.tm_commit_latency, "tx_wait"
             )
             core.tx_checkpoint = None
-            if self.sanitizer is not None:
-                self.sanitizer.on_tx_commit(core)
             return "ok"
-        restart = core.rollback_registers()
-        core.jump(restart)
-        if self.sanitizer is not None:
-            self.sanitizer.on_tx_abort(core)
+        core.jump(core.rollback_registers())
         return "redirect"
 
     def _do_mode_switch(self, core: Core, op: Operation) -> str:

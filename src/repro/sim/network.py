@@ -181,9 +181,9 @@ class OperandNetwork:
         #: every delivery becomes a transmission attempt the link layer
         #: adjudicates (CRC check / drop detection / retransmission).
         self.recovery = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, sends and receives emit probe events.
-        self.obs = None
+        #: Probe events (bound by the machine, see :mod:`repro.sim.probe`).
+        self.on_net_send = None
+        self.on_net_recv = None
 
     # -- queue mode -----------------------------------------------------------
 
@@ -262,8 +262,8 @@ class OperandNetwork:
         if self.recovery is not None:
             message.crc = message_crc(message)
         self._in_flight.append(message)
-        if self.obs is not None:
-            self.obs.net_send(cycle, src, dst, kind, self._seq, arrival)
+        if self.on_net_send is not None:
+            self.on_net_send(cycle, src, dst, kind, self._seq, arrival)
 
     def deliver(self, cycle: int) -> None:
         """Move arrived messages into receive queues (per-pair credits bound
@@ -366,15 +366,13 @@ class OperandNetwork:
             if message.ready_cycle > cycle:
                 continue
             del queue[i]
-            self._release_credit(message)
+            self._consume(message, cycle)
             self.messages_delivered += 1
             self.total_message_latency += cycle - (
                 message.ready_cycle
                 - self.mesh.hops(message.src, message.dst)
                 - self.config.queue_entry_cycles
             )
-            if self.obs is not None:
-                self.obs.net_recv(cycle, message.seq)
             return message
         return None
 
@@ -384,13 +382,14 @@ class OperandNetwork:
         for i, message in enumerate(queue):
             if message.kind in ("spawn", "release") and message.ready_cycle <= cycle:
                 del queue[i]
-                self._release_credit(message)
-                if self.obs is not None:
-                    self.obs.net_recv(cycle, message.seq)
+                self._consume(message, cycle)
                 return message
         return None
 
-    def _release_credit(self, message: Message) -> None:
+    def _consume(self, message: Message, cycle: int) -> None:
+        """A message left its receive CAM: return its credit and report it."""
+        if self.on_net_recv is not None:
+            self.on_net_recv(cycle, message.seq)
         key = (message.src, message.dst)
         self._outstanding[key] = self._outstanding.get(key, 1) - 1
         if self._vlink:

@@ -149,9 +149,8 @@ class RecoveryManager:
         self.counters: Dict[str, int] = {
             key: 0 for key in RECOVERY_COUNTERS
         }
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, every detection/repair emits a recovery event.
-        self.obs = None
+        #: Probe event (bound by the machine, see :mod:`repro.sim.probe`).
+        self.on_recovery = None
         #: Blacked-out cores: core id -> {"wake": ..., "detect": ...}.
         self._down: Dict[int, Dict[str, int]] = {}
         #: Blackouts suffered per core (feeds the degradation budget).
@@ -196,8 +195,8 @@ class RecoveryManager:
 
     def _event(self, cycle: int, kind: str, core: int, detail: str,
                cycles: int = 0) -> None:
-        if self.obs is not None:
-            self.obs.recovery(cycle, kind, core, detail, cycles)
+        if self.on_recovery is not None:
+            self.on_recovery(cycle, kind, core, detail, cycles)
 
     def counters_dict(self) -> Dict[str, int]:
         return dict(self.counters)

@@ -49,6 +49,10 @@ class CoreStats:
     messages_sent: int = 0
     messages_received: int = 0
 
+    #: The probe's ``stall`` event with this core's id bound (set by the
+    #: machine, see :mod:`repro.sim.probe`); not a dataclass field.
+    on_stall = None
+
     def stall(self, category: str, cycles: int = 1) -> None:
         try:
             self.stalls[category] += cycles
@@ -57,6 +61,8 @@ class CoreStats:
                 f"unknown stall category {category!r}; expected one of "
                 f"{STALL_CATEGORIES}"
             ) from None
+        if self.on_stall is not None:
+            self.on_stall(category, cycles)
 
     @property
     def total_stalls(self) -> int:

@@ -77,9 +77,10 @@ class TransactionalMemory:
         self.aborts = 0
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing).
         self.faults = None
-        #: Optional :class:`~repro.obs.events.Observability` event bus:
-        #: when attached, begin/commit/abort emit probe events.
-        self.obs = None
+        #: Probe events (bound by the machine, see :mod:`repro.sim.probe`).
+        self.on_tx_begin = None
+        self.on_tx_commit = None
+        self.on_tx_abort = None
         self.spurious_aborts = 0
         self.livelock_escalations = 0
         self.livelock_threshold = self.LIVELOCK_THRESHOLD
@@ -117,8 +118,8 @@ class TransactionalMemory:
             begin_serial=self._commit_serial,
         )
         self.active[core] = tx
-        if self.obs is not None:
-            self.obs.tx_begin(core, region, order)
+        if self.on_tx_begin is not None:
+            self.on_tx_begin(core, region, order)
         return tx
 
     def load(self, core: int, addr: int) -> Value:
@@ -195,8 +196,8 @@ class TransactionalMemory:
         self._next_commit_order += 1
         del self.active[core]
         self.commits += 1
-        if self.obs is not None:
-            self.obs.tx_commit(core, tx.region, tx.order)
+        if self.on_tx_commit is not None:
+            self.on_tx_commit(core, tx.region, tx.order)
         self._abort_streak.pop(core, None)
         if not self.active:
             # The wave of chunks fully committed: any abort storm is
@@ -210,8 +211,8 @@ class TransactionalMemory:
         tx.buffer.discard()
         del self.active[core]
         self.aborts += 1
-        if self.obs is not None:
-            self.obs.tx_abort(core, tx.region, tx.order)
+        if self.on_tx_abort is not None:
+            self.on_tx_abort(core, tx.region, tx.order)
         streak = self._abort_streak.get(core, 0) + 1
         self._abort_streak[core] = streak
         if streak >= self.livelock_threshold and not self._serialized:

@@ -15,7 +15,7 @@ from repro.sim.machine import VoltronMachine
 
 def _run(compiled, sanitizer=None):
     machine = VoltronMachine(
-        compiled, mesh(4), max_cycles=50_000_000, sanitizer=sanitizer
+        compiled, mesh(4), max_cycles=50_000_000, obs=sanitizer
     )
     machine.run()
     return machine
@@ -64,7 +64,7 @@ def test_destructive_faults_are_rejected():
     faults = FaultConfig(seed=3, profile="destructive", drop_rate=0.01)
     with pytest.raises(ValueError, match="destructive"):
         VoltronMachine(
-            compiled, mesh(4), faults=faults, sanitizer=RaceSanitizer()
+            compiled, mesh(4), faults=faults, obs=RaceSanitizer()
         )
 
 
@@ -75,7 +75,7 @@ def test_timing_faults_are_fine():
     faults = FaultConfig(seed=3, rate=0.01)
     sanitizer = RaceSanitizer()
     machine = VoltronMachine(
-        compiled, mesh(4), faults=faults, sanitizer=sanitizer
+        compiled, mesh(4), faults=faults, obs=sanitizer
     )
     machine.run()
     assert sanitizer.findings == []

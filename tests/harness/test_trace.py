@@ -8,7 +8,8 @@ from repro.isa.operations import Opcode
 from repro.sim import VoltronMachine
 
 
-def _machine():
+def _traced(**kwargs):
+    """Run the two-core ILP kernel under a fresh Tracer(**kwargs)."""
     from repro.workloads.kernels import KernelContext, ilp_kernel
 
     pb = ProgramBuilder("t")
@@ -18,61 +19,49 @@ def _machine():
     ilp_kernel(ctx, trips=16, chains=4)
     fb.halt()
     compiled = compile_program(pb.finish(), 2, "ilp")
-    return VoltronMachine(compiled, two_core())
+    tracer = Tracer(**kwargs)
+    VoltronMachine(compiled, two_core(), obs=tracer).run()
+    return tracer
 
 
 class TestTracer:
     def test_events_collected_in_cycle_order(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine)
-        machine.run()
+        tracer = _traced()
         cycles = [event.cycle for event in tracer.events]
         assert cycles == sorted(cycles)
         assert tracer.cycles_spanned() > 0
 
     def test_events_cover_both_cores(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine)
-        machine.run()
+        tracer = _traced()
         assert tracer.events_for(0)
         assert tracer.events_for(1)
 
     def test_histogram_counts_comm_ops(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine)
-        machine.run()
+        tracer = _traced()
         histogram = tracer.opcode_histogram()
         assert histogram.get(Opcode.PUT, 0) > 0
         assert histogram[Opcode.HALT] == 2
 
     def test_limit_truncates(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine, limit=10)
-        machine.run()
+        tracer = _traced(limit=10)
         assert len(tracer.events) == 10
         assert tracer.truncated
         assert "truncated" in tracer.render()
 
     def test_truncation_counts_dropped_events(self):
-        machine = _machine()
-        full = Tracer.attach(machine)
-        capped = Tracer.attach(machine, limit=10)
-        machine.run()
+        full = _traced()
+        capped = _traced(limit=10)
         assert capped.dropped == len(full.events) - capped.limit
         assert f"{capped.dropped} dropped" in capped.render()
 
     def test_untruncated_trace_drops_nothing(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine)
-        machine.run()
+        tracer = _traced()
         assert not tracer.truncated
         assert tracer.dropped == 0
         assert "truncated" not in tracer.render()
 
     def test_render_grid_shape(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine)
-        machine.run()
+        tracer = _traced()
         first = tracer.events[0].cycle
         text = tracer.render(start=first, end=first + 40)
         lines = text.splitlines()
@@ -84,8 +73,6 @@ class TestTracer:
         assert "legend:" in text
 
     def test_render_empty_window(self):
-        machine = _machine()
-        tracer = Tracer.attach(machine)
-        machine.run()
+        tracer = _traced()
         text = tracer.render(start=10**9, width=10)
         assert "core0" in text  # renders blanks, no crash

@@ -30,6 +30,13 @@ def _directory(config):
     return dataclasses.replace(config, coherence="directory")
 
 
+def _queue_policy(config, queue_policy):
+    return dataclasses.replace(
+        config,
+        network=dataclasses.replace(config.network, queue_policy=queue_policy),
+    )
+
+
 @pytest.mark.parametrize("bench_name", SAMPLE)
 @pytest.mark.parametrize("n_cores", (16, 32))
 def test_snoop_directory_bit_identical(bench_name, n_cores):
@@ -54,22 +61,24 @@ def test_snoop_directory_bit_identical(bench_name, n_cores):
 def test_large_mesh_cells_verify_clean(bench_name, n_cores):
     """voltlint over every strategy at scale; the race sanitizer over
     the communication-heavy strategies (tlp exercises decoupled queues,
-    hybrid both modes)."""
+    hybrid both modes, llp SPAWN/LISTEN and TM commits) under both queue
+    policies -- the sanitizer matches each message by its network
+    sequence number, so the vlink shared pool must not confuse it."""
     bench = build(bench_name)
     compiler = VoltronCompiler(bench.program)
-    config = mesh(n_cores)
-    for strategy in STRATEGIES:
-        compiled = compiler.compile(strategy, config)
-        report = verify_compiled(compiled, config)
-        assert report.ok, f"{bench_name}/{strategy}: {report.render()}"
-        if strategy in ("tlp", "hybrid"):
-            sanitizer = RaceSanitizer()
-            machine = VoltronMachine(compiled, config, sanitizer=sanitizer)
-            machine.run()
-            assert not sanitizer.findings, (
-                f"{bench_name}/{strategy}: "
-                f"{[f.render() for f in sanitizer.findings]}"
-            )
+    for queue_policy in ("pair", "vlink"):
+        config = _queue_policy(mesh(n_cores), queue_policy)
+        for strategy in STRATEGIES:
+            compiled = compiler.compile(strategy, config)
+            report = verify_compiled(compiled, config)
+            where = f"{bench_name}/{strategy}/{queue_policy}"
+            assert report.ok, f"{where}: {report.render()}"
+            if strategy in ("tlp", "hybrid", "llp"):
+                sanitizer = RaceSanitizer()
+                VoltronMachine(compiled, config, obs=sanitizer).run()
+                assert not sanitizer.findings, (
+                    f"{where}: {[f.render() for f in sanitizer.findings]}"
+                )
 
 
 def test_vlink_queues_preserve_semantics_at_scale():
@@ -77,10 +86,7 @@ def test_vlink_queues_preserve_semantics_at_scale():
     as per-pair queues, voltlint clean under the relaxed channel rules."""
     bench = build("epic")
     config = mesh(16)
-    vlink = dataclasses.replace(
-        config,
-        network=dataclasses.replace(config.network, queue_policy="vlink"),
-    )
+    vlink = _queue_policy(config, "vlink")
     compiled = VoltronCompiler(bench.program).compile("tlp", config)
     assert verify_compiled(compiled, vlink).ok
     pair_machine = VoltronMachine(compiled, config)

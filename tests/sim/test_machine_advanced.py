@@ -67,20 +67,53 @@ class TestTransactionsThroughTheMachine:
         )
 
 
+class _IssueLog:
+    """A probe consumer implementing only the ``issue`` event."""
+
+    def __init__(self):
+        self.seen = []
+
+    def issue(self, cycle, core, op):
+        self.seen.append((cycle, core, op.opcode))
+
+
+def _strand_program():
+    pb = ProgramBuilder("t")
+    fb = pb.function("main")
+    fb.block("entry")
+    ctx = KernelContext(pb=pb, fb=fb, seed=3)
+    strand_kernel(ctx, trips=24)
+    doall_kernel(ctx, trips=16)
+    fb.halt()
+    return pb.finish()
+
+
 class TestObservers:
     def test_observer_sees_executed_ops(self):
         program, out = _doall_program(trips=16)
         compiled = compile_program(program, 2, "ilp")
-        machine = VoltronMachine(compiled, two_core())
-        seen = []
-        machine.op_observers.append(
-            lambda cycle, core, op: seen.append((cycle, core, op.opcode))
-        )
-        stats = machine.run()
-        assert len(seen) >= stats.total_ops()
-        assert any(opcode is Opcode.PUT for _c, _k, opcode in seen)
-        cycles = [c for c, _k, _o in seen]
+        log = _IssueLog()
+        stats = VoltronMachine(compiled, two_core(), obs=log).run()
+        assert len(log.seen) == stats.total_ops()
+        assert any(opcode is Opcode.PUT for _c, _k, opcode in log.seen)
+        cycles = [c for c, _k, _o in log.seen]
         assert cycles == sorted(cycles)
+
+    @pytest.mark.parametrize("strategy", ["tlp", "hybrid"])
+    def test_issue_trace_is_the_same_with_fast_forward(self, strategy):
+        """A RECV still waiting for its message stalls, it does not
+        issue; so skipping stalled cycles changes nothing in the trace."""
+        compiled = compile_program(_strand_program(), 4, strategy)
+        traces = []
+        for fast_forward in (True, False):
+            log = _IssueLog()
+            stats = VoltronMachine(
+                compiled, four_core(), fast_forward=fast_forward, obs=log
+            ).run()
+            assert sum(c.stalls["recv_data"] for c in stats.cores) > 0
+            assert len(log.seen) == stats.total_ops()
+            traces.append(log.seen)
+        assert traces[0] == traces[1]
 
     def test_no_observer_overhead_path(self):
         program, out = _doall_program(trips=16)
