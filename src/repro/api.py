@@ -19,21 +19,21 @@ Profiling a run attaches an observability bus (see :mod:`repro.obs`):
     write_trace(obs, "trace.json")     # load in ui.perfetto.dev
     result.metrics["timeline"]         # reconciled per-mode summary
 
-These signatures are the compatibility contract: the canonical machine
+These signatures are the compatibility contract: the one machine
 spelling is ``machine=`` everywhere -- an int core count, a preset name
 (``"mesh16"``, ``"mesh32-directory"``, see :func:`list_presets`), or a
-full :class:`~repro.arch.MachineConfig`.  The former ``cores=`` keyword
-still works with a ``DeprecationWarning`` (passing both spellings is a
-``TypeError``), following the same migration pattern as the retired
-``n_cores=`` / ``name=`` / ``fault_config=`` aliases.  ``faults=`` is
-canonical for fault configs, and serialized results carry
-``schema_version`` (see
+full :class:`~repro.arch.MachineConfig`.  ``faults=`` is canonical for
+fault configs, and serialized results carry ``schema_version`` (see
 :data:`repro.harness.experiments.SCHEMA_VERSION`).
+
+Sessions run their pool work under one liveness rule: ``cell_timeout``
+seconds per cell, counted from the moment a worker task is submitted.
+Overdue or crashed work is retried with exponential backoff, then re-run
+serially in-process.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -53,41 +53,6 @@ from .workloads.suite import BENCHMARKS, build
 #: reproduce the paper; ``"scaling"`` is this repo's extension column
 #: set (speedups at 4/16/32 cores for every strategy).
 FIGURES = ("3", "7-9", "10", "11", "12", "13", "14", "scaling")
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: machine=/cores= deprecation shims.
-_UNSET = object()
-
-
-def _machine_arg(caller, machine, cores, *, default=None):
-    """Resolve the ``machine=``/deprecated ``cores=`` pair one way.
-
-    Exactly mirrors the PR 3/4 kwarg-unification pattern: both
-    spellings together is a :class:`TypeError`, ``cores=`` alone warns
-    and is honored, and a missing spec falls back to ``default`` (or
-    raises when there is none).
-    """
-    if cores is not _UNSET:
-        if machine is not _UNSET:
-            raise TypeError(
-                f"{caller}() got both 'machine' and the deprecated "
-                "'cores'; pass only machine="
-            )
-        warnings.warn(
-            f"{caller}(cores=...) is deprecated; pass machine= "
-            "(a core count, preset name, or MachineConfig)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        machine = cores
-    if machine is _UNSET:
-        if default is None:
-            raise TypeError(
-                f"{caller}() needs a machine spec: pass machine="
-            )
-        machine = default
-    return resolve_machine(machine)
-
 
 def list_presets() -> List[str]:
     """Names accepted wherever ``machine=`` takes a preset string:
@@ -131,11 +96,10 @@ def generate_workload(seed: int = 1, knobs: Optional[GenKnobs] = None) -> str:
 
 def compile_benchmark(
     benchmark: str,
-    machine: MachineSpec = _UNSET,
+    machine: MachineSpec = 4,
     strategy: str = "hybrid",
     *,
     seed: int = 1,
-    cores=_UNSET,
 ):
     """Build one benchmark and compile it for a machine spec.
 
@@ -145,21 +109,20 @@ def compile_benchmark(
     for inspecting per-core instruction streams or constructing a
     :class:`~repro.sim.machine.VoltronMachine` directly.
     """
-    config = _machine_arg("compile_benchmark", machine, cores, default=4)
+    config = resolve_machine(machine)
     bench = build(benchmark, seed)
     return VoltronCompiler(bench.program).compile(strategy, config)
 
 
 def verify_benchmark(
     benchmark: str,
-    machine: MachineSpec = _UNSET,
+    machine: MachineSpec = 4,
     strategy: str = "hybrid",
     *,
     seed: int = 1,
     dynamic: bool = False,
     suppressions: Sequence[str] = (),
     max_cycles: int = 50_000_000,
-    cores=_UNSET,
 ):
     """Statically verify one compiled cell's communication structure.
 
@@ -181,7 +144,7 @@ def verify_benchmark(
     from .analysis import RaceSanitizer, verify_compiled
     from .analysis.findings import Finding, match_suppression
 
-    config = _machine_arg("verify_benchmark", machine, cores, default=4)
+    config = resolve_machine(machine)
     bench = build(benchmark, seed)
     compiled = VoltronCompiler(bench.program).compile(strategy, config)
     report = verify_compiled(compiled, config, suppressions)
@@ -227,8 +190,6 @@ def session(
     config_overrides: Optional[Dict[str, object]] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    heartbeat_timeout: Optional[float] = None,
-    backoff_seed: Optional[int] = None,
     max_abandoned: int = 0,
 ) -> ExperimentRunner:
     """A reusable experiment session (shared builds, cache, worker pool).
@@ -249,10 +210,9 @@ def session(
     per cell lifecycle event, so an interrupted session resumes with
     ``resume=True`` (cells with a durable ``completed`` record replay
     from the cache, bit-identical, with zero re-simulation).
-    ``heartbeat_timeout`` arms worker supervision (hung/frozen pool
-    workers are detected and retried before their full deadline);
-    ``backoff_seed`` pins the deterministic retry-backoff jitter;
-    ``max_abandoned`` bounds how many poisoned cells a prefetch absorbs
+    ``cell_timeout`` is the pool's one liveness deadline: seconds per
+    cell, counted from each worker task's submission.
+    ``max_abandoned`` bounds how many poisoned cells the session absorbs
     as ``abandoned`` before raising.
     """
     if machine is not None:
@@ -271,15 +231,13 @@ def session(
         config_overrides=config_overrides,
         journal=journal,
         resume=resume,
-        heartbeat_timeout=heartbeat_timeout,
-        backoff_seed=backoff_seed,
         max_abandoned=max_abandoned,
     )
 
 
 def run_cell(
     benchmark: str,
-    machine: MachineSpec = _UNSET,
+    machine: MachineSpec,
     strategy: str = "hybrid",
     *,
     faults: Optional[FaultConfig] = None,
@@ -287,7 +245,6 @@ def run_cell(
     seed: int = 1,
     max_cycles: int = 50_000_000,
     cache_dir: Optional[Union[str, Path]] = None,
-    cores=_UNSET,
 ) -> RunResult:
     """Simulate one (benchmark, machine, strategy) cell end to end.
 
@@ -302,7 +259,7 @@ def run_cell(
     runs always simulate fresh -- ``cache_dir`` must stay None with
     ``obs`` (cached results cannot carry a cycle-accurate event record).
     """
-    config = _machine_arg("run_cell", machine, cores)
+    config = resolve_machine(machine)
     runner = ExperimentRunner(
         benchmarks=[benchmark],
         seed=seed,
@@ -328,7 +285,6 @@ def run_figure(
     runner: Optional[ExperimentRunner] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    cores=_UNSET,
 ) -> Dict:
     """Reproduce one paper figure; returns its data table.
 
@@ -343,18 +299,6 @@ def run_figure(
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    if cores is not _UNSET and cores is not None:
-        if machine is not None:
-            raise TypeError(
-                "run_figure() got both 'machine' and the deprecated "
-                "'cores'; pass only machine="
-            )
-        warnings.warn(
-            "run_figure(cores=...) is deprecated; pass machine=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        machine = cores
     config = resolve_machine(machine) if machine is not None else None
     overrides = (
         machine_overrides(config, include_shape=False)
@@ -415,8 +359,6 @@ def sweep(
     out: Optional[Union[str, Path]] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    heartbeat_timeout: Optional[float] = None,
-    cores=_UNSET,
 ) -> Dict:
     """Sweep machine configurations across workloads; Pareto per strategy.
 
@@ -441,19 +383,6 @@ def sweep(
     """
     from .harness.sweep import SweepSpec, run_sweep, write_sweep
 
-    if cores is not _UNSET:
-        if machines is not None:
-            raise TypeError(
-                "sweep() got both 'machines' and the deprecated "
-                "'cores'; pass only machines="
-            )
-        warnings.warn(
-            "sweep(cores=...) is deprecated; pass machines= (core "
-            "counts, preset names, or MachineConfigs)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        machines = cores
     resolved = [
         resolve_machine(machine)
         for machine in (machines if machines is not None else (2, 4))
@@ -492,7 +421,6 @@ def sweep(
         cell_timeout=cell_timeout,
         journal=journal,
         resume=resume,
-        heartbeat_timeout=heartbeat_timeout,
     )
     if out is not None:
         write_sweep(document, out)

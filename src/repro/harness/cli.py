@@ -21,8 +21,9 @@ generated-workload handles (``gen:<seed>[:<knobs-hash>]``, see
 ``--machine SPEC`` is the canonical machine spelling everywhere: an
 integer core count (any size -- primes get a near-square mesh with
 holes) or a preset name from ``repro.list_presets()`` such as
-``four``, ``mesh16``, or ``mesh32-directory``.  The older ``--cores``
-flags remain as aliases where they existed.
+``four``, ``mesh16``, or ``mesh32-directory``; ``sweep --machines``
+takes a list of them.  (``verify --cores`` is not a machine spelling:
+it filters the core counts to verify.)
 
 ``sweep`` crosses machine-design axes (mesh size, coherence protocol,
 operand-queue policy and depth, queue-mode hop latency, memory latency,
@@ -36,9 +37,10 @@ Simulation results are cached on disk (``.repro-cache/`` by default, keyed
 by a content hash of program + config + seed) so a repeated figure run is
 nearly free; pass ``--no-cache`` to force fresh simulations.  ``--jobs N``
 fans independent (benchmark, cores, strategy) cells out over N worker
-processes; ``--cell-timeout`` bounds each cell's wall-clock time on the
-pool (overdue or crashed cells are retried, then re-run serially);
-``--heartbeat-timeout`` additionally reaps workers that go silent.
+processes; ``--cell-timeout`` is the pool's one liveness deadline: each
+worker task gets that many seconds per cell, counted from its own
+submission (overdue or crashed cells are retried with exponential
+backoff, then re-run serially).
 
 ``--journal FILE`` makes ``run``/``figure``/``sweep`` crash-safe: every
 cell lifecycle event (planned/dispatched/completed/failed/abandoned) is
@@ -125,17 +127,10 @@ def _add_machine_option(subparser: argparse.ArgumentParser, help_tail="") -> Non
 
 
 def _resolve_machine_flag(args, out) -> Optional[MachineConfig]:
-    """Resolve --machine/--cores to a MachineConfig, or None on error
-    (already reported).  --cores stays as a legacy alias; passing both
-    is an error."""
-    machine = getattr(args, "machine", None)
-    cores = getattr(args, "cores", None)
-    if machine is not None and cores is not None:
-        print("pass either --machine or --cores, not both", file=out)
-        return None
-    spec = machine if machine is not None else (cores or 4)
+    """Resolve --machine (default 4 cores) to a MachineConfig, or None
+    on error (already reported)."""
     try:
-        return resolve_machine(spec)
+        return resolve_machine(args.machine if args.machine is not None else 4)
     except (TypeError, ValueError) as error:
         print(f"bad --machine spec: {error}", file=out)
         return None
@@ -163,8 +158,9 @@ def _add_runner_options(subparser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock deadline per simulation cell on the worker pool "
-        "(overdue cells are retried, then run serially; default none)",
+        help="wall-clock deadline per simulation cell on the worker pool, "
+        "counted from its task's submission (overdue cells are retried, "
+        "then run serially; default none)",
     )
     subparser.add_argument(
         "--journal",
@@ -181,22 +177,6 @@ def _add_runner_options(subparser: argparse.ArgumentParser) -> None:
         help="resume an interrupted run from its journal: replay FILE "
         "against the result cache, re-dispatch only cells without a "
         "durable completed record, and keep journaling to FILE",
-    )
-    subparser.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="arm worker supervision: a pool worker silent past this many "
-        "seconds is declared hung/killed and its cells retried, without "
-        "waiting out the full --cell-timeout (default off)",
-    )
-    subparser.add_argument(
-        "--backoff-seed",
-        type=int,
-        default=None,
-        help="seed of the deterministic retry-backoff jitter (default: "
-        "the build seed)",
     )
     subparser.add_argument(
         "--faults",
@@ -243,8 +223,6 @@ def _make_runner(args, benchmarks, machine=None):
         faults=faults,
         journal=args.resume or args.journal,
         resume=bool(args.resume),
-        heartbeat_timeout=args.heartbeat_timeout,
-        backoff_seed=args.backoff_seed,
     )
 
 
@@ -285,13 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(gen:<seed>[:<knobs-hash>])",
     )
     _add_machine_option(run, help_tail=" (default: 4 cores)")
-    run.add_argument(
-        "--cores",
-        type=int,
-        default=None,
-        metavar="N",
-        help="legacy alias for --machine N",
-    )
     run.add_argument(
         "--strategy",
         default="hybrid",
@@ -392,14 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine specs spanning the mesh-size axis: core counts "
         "and/or preset names (default 2 4); coherence-variant presets "
         "seed the coherence axis unless --coherences pins it",
-    )
-    sweep.add_argument(
-        "--cores",
-        nargs="*",
-        type=int,
-        default=None,
-        metavar="N",
-        help="legacy alias for --machines",
     )
     sweep.add_argument(
         "--coherences",
@@ -646,15 +609,11 @@ def _cmd_sweep(args, out) -> int:
         return 2
     if not _check_workloads(workloads, out):
         return 2
-    if args.machines is not None and args.cores is not None:
-        print("pass either --machines or --cores, not both", file=out)
-        return 2
-    machines = args.machines if args.machines is not None else args.cores
     try:
         document = api.sweep(
             workloads,
             strategies=args.strategies,
-            machines=machines,
+            machines=args.machines,
             coherences=args.coherences,
             queue_policies=args.queue_policies,
             queue_depths=args.queue_depths,
@@ -666,7 +625,6 @@ def _cmd_sweep(args, out) -> int:
             cell_timeout=args.cell_timeout,
             journal=args.resume or args.journal,
             resume=bool(args.resume),
-            heartbeat_timeout=args.heartbeat_timeout,
             out=args.out,
         )
     except ValueError as error:

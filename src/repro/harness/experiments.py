@@ -14,13 +14,21 @@ Two optional layers speed up suite-scale experiments:
   a ``ProcessPoolExecutor``; every figure driver prefetches its cell list
   through the pool before assembling the table.
 
-The parallel path is hardened against a hostile environment: every worker
-task carries a wall-clock deadline (``cell_timeout`` per cell), overdue
-or crashed tasks are retried with exponential backoff up to ``retries``
-times, a broken pool (a worker killed by the OOM killer, a segfault, an
-``os._exit``) degrades the remaining work to an in-process serial re-run
-instead of aborting the figure, and everything that went wrong is
-tallied in a :class:`FailureSummary` the reporting layer renders.
+The parallel path is hardened against a hostile environment.  Worker
+liveness has one mechanism: a wall-clock deadline per task
+(``cell_timeout`` per cell) that starts when the task is submitted, and
+a round never has more tasks in flight than ``jobs``.  Overdue tasks are
+retried in a fresh pool after a plain exponential backoff, up to
+``RETRIES`` rounds; a broken pool (a worker killed by the OOM killer, a
+segfault, an ``os._exit``) degrades the remaining work to an in-process
+serial re-run instead of aborting the figure; and everything that went
+wrong is tallied in a :class:`FailureSummary` the reporting layer
+renders.
+
+Every cell lifecycle event (planned, dispatched, completed, failed,
+abandoned) goes through one method, which applies it to the runner's
+live :class:`~repro.harness.journal.JournalReplay` state table and
+appends it to the write-ahead journal when there is one.
 
 An optional :class:`~repro.sim.faults.FaultConfig` runs every simulation
 under deterministic fault injection (chaos mode).  The functional check
@@ -32,12 +40,11 @@ differential test.
 from __future__ import annotations
 
 import hashlib
-import random
-import tempfile
-import threading
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -143,13 +150,9 @@ class FailureSummary:
     #: Cache entries moved aside as unreadable (mirrors
     #: ``ResultCache.quarantined``; synced by ``failure_summary``).
     cache_quarantined: int = 0
-    #: Cells given up on entirely (every pool round *and* the serial
-    #: fallback failed); the journal records them as ``abandoned``.
+    #: Cells given up on entirely (their serial run failed); the journal
+    #: records them as ``abandoned``.
     abandoned: List[str] = field(default_factory=list)
-    #: Cell label -> how many attempts (pool dispatches + serial runs)
-    #: it took.  A clean run leaves every count at 1; the count is
-    #: bookkeeping, not a failure, so ``any()`` ignores it.
-    attempts: Dict[str, int] = field(default_factory=dict)
 
     def any(self) -> bool:
         return bool(
@@ -161,80 +164,53 @@ class FailureSummary:
             or self.abandoned
         )
 
-    def max_attempts(self) -> int:
-        """The worst per-cell attempt count (0 with no attempts tracked)."""
-        return max(self.attempts.values(), default=0)
-
 
 def _cell_label(name: str, n_cores: int, strategy: str) -> str:
     return f"{name}[{n_cores}-{strategy}]"
 
 
-def _heartbeat_path(hb_dir: Union[str, Path], name: str) -> Path:
-    """The heartbeat file for one worker task, keyed by its benchmark
-    (the fan-out unit, unique within a pool round)."""
-    digest = hashlib.sha256(name.encode()).hexdigest()[:12]
-    return Path(hb_dir) / f"hb-{digest}"
+#: Pool rounds after the first before the leftovers degrade to serial.
+RETRIES = 2
+#: Seconds slept before retry round r: ``RETRY_BACKOFF_S * 2 ** (r - 1)``.
+RETRY_BACKOFF_S = 0.25
 
 
-def _write_heartbeat(path: Path) -> None:
-    try:
-        path.write_text(repr(time.time()))
-    except OSError:
-        pass  # a lost beat only risks a spurious retry, never corruption
+@dataclass(frozen=True)
+class WorkerTask:
+    """One pool task: a benchmark's cells plus everything a fresh
+    worker-side runner needs to reproduce the driver's cache keys."""
+
+    benchmark: str
+    cells: Tuple[Tuple[int, str], ...]
+    seed: int
+    max_cycles: int
+    cache_dir: Optional[str]
+    faults: Optional[FaultConfig]
+    config_overrides: Optional[Dict[str, object]]
+
+    def cell_list(self) -> List[Cell]:
+        return [(self.benchmark, n_cores, s) for n_cores, s in self.cells]
 
 
-def _read_heartbeat(path: Path) -> Optional[float]:
-    try:
-        return float(path.read_text())
-    except (OSError, ValueError):
-        return None  # absent or torn mid-write: no verdict either way
-
-
-def _run_cells_worker(spec: Tuple) -> List[Dict[str, object]]:
+def _run_cells_worker(task: WorkerTask) -> List[Dict[str, object]]:
     """Pool worker: simulate one benchmark's cells in a fresh runner and
     hand the results back as plain dicts (JSON-safe, cheap to pickle).
     The fan-out unit is a benchmark, not a cell, so the build, the
     compiler, and the reference-interpreter run are paid once per worker
     task instead of once per (cores, strategy) point.  Top-level so
-    ProcessPoolExecutor can address it by qualified name.
-
-    When the spec carries a heartbeat assignment (``spec[7]``: a
-    ``(dir, interval)`` pair), a daemon thread touches this task's
-    heartbeat file every ``interval`` seconds for as long as the task
-    runs, so the driver's supervisor can tell a slow-but-alive worker
-    from a hung or frozen one without waiting out the full deadline."""
-    name, cells, seed, max_cycles, cache_dir, fault_config = spec[:6]
-    config_overrides = spec[6] if len(spec) > 6 else None
-    heartbeat = spec[7] if len(spec) > 7 else None
-    stop = None
-    if heartbeat is not None:
-        hb_dir, interval = heartbeat
-        hb_file = _heartbeat_path(hb_dir, name)
-        stop = threading.Event()
-
-        def _beat() -> None:
-            _write_heartbeat(hb_file)
-            while not stop.wait(interval):
-                _write_heartbeat(hb_file)
-
-        threading.Thread(target=_beat, daemon=True).start()
-    try:
-        runner = ExperimentRunner(
-            benchmarks=[name],
-            seed=seed,
-            max_cycles=max_cycles,
-            cache_dir=cache_dir,
-            faults=fault_config,
-            config_overrides=config_overrides,
-        )
-        return [
-            runner.run(name, n_cores, strategy).to_dict()
-            for n_cores, strategy in cells
-        ]
-    finally:
-        if stop is not None:
-            stop.set()
+    ProcessPoolExecutor can address it by qualified name."""
+    runner = ExperimentRunner(
+        benchmarks=[task.benchmark],
+        seed=task.seed,
+        max_cycles=task.max_cycles,
+        cache_dir=task.cache_dir,
+        faults=task.faults,
+        config_overrides=task.config_overrides,
+    )
+    return [
+        runner.run(task.benchmark, n_cores, strategy).to_dict()
+        for n_cores, strategy in task.cells
+    ]
 
 
 class ExperimentRunner:
@@ -248,17 +224,12 @@ class ExperimentRunner:
         cache_dir: Optional[Union[str, Path]] = None,
         jobs: int = 1,
         cell_timeout: Optional[float] = None,
-        retries: int = 2,
-        retry_backoff: float = 0.25,
         faults: Optional[FaultConfig] = None,
         obs=None,
         config_overrides: Optional[Dict[str, object]] = None,
         journal: Optional[Union[str, Path, RunJournal]] = None,
         resume: bool = False,
         replay: Optional[JournalReplay] = None,
-        heartbeat_timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.2,
-        backoff_seed: Optional[int] = None,
         max_abandoned: int = 0,
     ) -> None:
         if obs is not None:
@@ -281,28 +252,14 @@ class ExperimentRunner:
         self.seed = seed
         self.max_cycles = max_cycles
         self.jobs = max(1, jobs)
-        #: Wall-clock seconds each simulation cell may take on the pool
-        #: before its task is abandoned and retried (None = no deadline).
+        #: Wall-clock seconds each simulation cell may take on the pool,
+        #: counted from its task's submission, before the task is
+        #: abandoned and retried (None = no deadline).
         self.cell_timeout = cell_timeout
-        #: Pool rounds after the first before degrading to serial.
-        self.retries = max(0, retries)
-        #: Base of the exponential backoff slept between pool rounds.
-        self.retry_backoff = retry_backoff
         self.fault_config = faults
-        #: Hung-worker detection: a pool task whose heartbeat file goes
-        #: stale past this many seconds is declared dead and retried,
-        #: without waiting out the (much longer) cell deadline.  None
-        #: disables supervision.
-        self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_interval = heartbeat_interval
-        #: Seed of the deterministic retry-backoff jitter (defaults to
-        #: the build seed): decorrelates retry storms across concurrent
-        #: drivers while keeping every sleep reproducible.
-        self.backoff_seed = seed if backoff_seed is None else backoff_seed
-        self._backoff_rng = random.Random(self.backoff_seed)
-        #: How many abandoned cells a prefetch absorbs before the next
-        #: one re-raises (0 = the first serial-fallback failure still
-        #: propagates immediately, after being journaled).
+        #: How many abandoned cells a runner absorbs before the next one
+        #: re-raises (0 = the first failure propagates immediately,
+        #: after being journaled).
         self.max_abandoned = max(0, max_abandoned)
         #: Flat machine-config overrides (queue depth, hop latency, TM
         #: commit cost, ...) applied on top of the per-core-count default
@@ -334,14 +291,12 @@ class ExperimentRunner:
         #: lifecycle record is fsynced before the run proceeds, so a
         #: SIGKILLed driver resumes from a consistent history.
         self.journal: Optional[RunJournal] = journal
-        #: Resume/replay tallies for the report line and sweep artifact.
-        self.journal_stats: Dict[str, int] = {
-            "replayed": 0, "rerun": 0, "abandoned": 0,
-        }
-        #: Keys already planned this run (a retry round must not re-plan).
-        self._planned_keys: set = set()
-        #: Supervision scratch dir for worker heartbeat files.
-        self._hb_dir: Optional[str] = None
+        #: This run's cell lifecycle: every record ``_record`` writes is
+        #: applied here first, so "planned this run", attempt numbers and
+        #: abandonment all read one state machine (the journal's own).
+        self.lifecycle = JournalReplay()
+        #: Cells served from the cache on the prior journal's word.
+        self._replayed = 0
         #: The pool entry point; tests swap in crashing/hanging doubles.
         self._worker_fn = _run_cells_worker
         self._built: Dict[str, Benchmark] = {}
@@ -421,7 +376,7 @@ class ExperimentRunner:
         cell_seed = int.from_bytes(digest[:4], "big")
         return FaultPlan(replace(self.fault_config, seed=cell_seed))
 
-    # -- journal bookkeeping -----------------------------------------------------
+    # -- cell lifecycle ------------------------------------------------------------
 
     def close_journal(self) -> None:
         """Close the journal if this runner opened it (constructed from a
@@ -430,6 +385,18 @@ class ExperimentRunner:
         if self.journal is not None and self._owns_journal:
             self.journal.close()
 
+    @property
+    def journal_stats(self) -> Dict[str, int]:
+        """Resume tallies for the report line and sweep artifact: cells
+        replayed from the prior journal, cells that had prior history
+        but were planned again (re-run), and cells abandoned this run."""
+        prior = self._replay.states if self._replay is not None else {}
+        return {
+            "replayed": self._replayed,
+            "rerun": sum(1 for key in self.lifecycle.states if key in prior),
+            "abandoned": self.lifecycle.accounting()["abandoned"],
+        }
+
     def _journal_key(self, cell: Cell) -> Optional[str]:
         """The cell's content-hash key, computed only when some layer
         (cache or journal) will use it."""
@@ -437,66 +404,35 @@ class ExperimentRunner:
             return None
         return self._cell_key(*cell)
 
-    def _note_planned(self, cell: Cell, key: Optional[str]) -> None:
-        """Journal ``planned`` exactly once per cell per run, and count
-        the resume bookkeeping: a cell with prior journal history that
-        still needs dispatching is a *re-run*."""
-        if self.journal is None and self._replay is None:
+    def _record(self, event: str, cell: Cell, key: Optional[str], **fields) -> None:
+        """The one write path for cell lifecycle events: build the
+        record, apply it to the live state table, and append it to the
+        journal.  ``planned`` is written once per cell per run; the
+        attempt numbers of ``dispatched``/``completed``/``failed`` come
+        from the live table's dispatch count."""
+        record = {"cell": list(cell), "key": key}
+        marker = JournalReplay.key_of(record)
+        attempts = self.lifecycle.attempts.get(marker, 0)
+        if event == "planned" and self.lifecycle.state(marker) is not None:
             return
-        marker = key or _cell_label(*cell)
-        if marker in self._planned_keys:
-            return
-        self._planned_keys.add(marker)
-        if self._replay is not None and self._replay.state(marker) is not None:
-            self.journal_stats["rerun"] += 1
+        if event == "dispatched":
+            record["attempt"] = attempts + 1
+        record.update(fields)
+        if event in ("completed", "failed"):
+            record["attempt"] = attempts
+        self.lifecycle.apply({"event": event, **record})
         if self.journal is not None:
-            self.journal.planned(cell, key)
-
-    def _note_dispatched(self, cell: Cell, key: Optional[str], mode: str) -> None:
-        label = _cell_label(*cell)
-        attempt = self.failures.attempts.get(label, 0) + 1
-        self.failures.attempts[label] = attempt
-        if self.journal is not None:
-            self.journal.dispatched(cell, key, attempt=attempt, mode=mode)
-
-    def _note_completed(self, cell: Cell, key: Optional[str], source: str) -> None:
-        """Record durable completion -- called strictly *after* the
-        result is in the cache (or, uncached, in the run memo), so a
-        ``completed`` record always implies a recoverable result."""
-        if self.journal is not None:
-            self.journal.completed(
-                cell, key, source=source,
-                attempt=self.failures.attempts.get(_cell_label(*cell), 0),
-            )
-
-    def _note_failed(self, cell: Cell, reason: str) -> None:
-        if self.journal is not None:
-            self.journal.failed(
-                cell, self._journal_key(cell), reason=reason,
-                attempt=self.failures.attempts.get(_cell_label(*cell), 0),
-            )
-
-    def _abandon(self, cell: Cell, error: Exception) -> None:
-        """Terminal escalation: journal the cell as ``abandoned`` (the
-        journal must account for every planned cell) and tally it."""
-        self.failures.abandoned.append(_cell_label(*cell))
-        self.journal_stats["abandoned"] += 1
-        if self.journal is not None:
-            self.journal.abandoned(
-                cell, self._journal_key(cell),
-                reason=f"{type(error).__name__}: {error}",
-            )
+            self.journal.record(event, **record)
 
     def run(self, benchmark: str, cores: int, strategy: str) -> RunResult:
         cell = (benchmark, cores, strategy)
-        if cell in self._runs:
-            return self._runs[cell]
-        if self._resolve_cached([cell]):
-            try:
-                self._run_uncached(cell)
-            except Exception as error:
-                self._abandon(cell, error)
-                raise
+        if cell not in self._runs:
+            for pending in self._resolve_cached([cell]):
+                self._run_serial(pending)
+            if cell not in self._runs:
+                raise RuntimeError(
+                    f"{_cell_label(*cell)} was abandoned earlier in this run"
+                )
         return self._runs[cell]
 
     def _simulate(self, name: str, n_cores: int, strategy: str) -> RunResult:
@@ -547,21 +483,13 @@ class ExperimentRunner:
         a process pool when ``jobs > 1``.  Serial fallback otherwise -- the
         figure drivers call this unconditionally."""
         pending = self._resolve_cached(cells)
-        if not pending:
-            return
-        if self.jobs == 1 or len({name for name, _, _ in pending}) == 1:
+        if self.jobs > 1 and len({name for name, _, _ in pending}) > 1:
+            self._prefetch_parallel(pending)
+        else:
             # The cache was already probed above, so simulate directly
             # (run() would re-probe and double-count the miss).
             for cell in pending:
-                try:
-                    self._run_uncached(cell)
-                except Exception as error:
-                    self._abandon(cell, error)
-                    raise
-            return
-        self._prefetch_parallel(pending)
-
-    # -- hardened parallel prefetch ---------------------------------------------
+                self._run_serial(cell)
 
     def _resolve_cached(self, cells: Sequence[Cell]) -> List[Cell]:
         """Memoize every cached cell in-process (where the reporting layer
@@ -571,7 +499,8 @@ class ExperimentRunner:
         whose key the replayed journal already marks ``completed`` is a
         pure *replay* (no new records, counted in ``journal_stats``);
         any other hit records ``planned`` + ``completed``; a miss
-        records ``planned`` and joins the dispatch list."""
+        records ``planned`` and joins the dispatch list.  A cell
+        abandoned earlier in this run is terminal and is skipped."""
         pending: List[Cell] = []
         seen = set()
         for cell in cells:
@@ -579,270 +508,201 @@ class ExperimentRunner:
                 continue
             seen.add(cell)
             key = self._journal_key(cell)
+            state = self.lifecycle.state(
+                JournalReplay.key_of({"cell": list(cell), "key": key})
+            )
+            if state == "abandoned":
+                continue
             if self.cache is not None:
                 payload = self.cache.load(key)
                 if payload is not None:
                     self._runs[cell] = RunResult.from_dict(payload)
                     if (
                         self._replay is not None
-                        and key is not None
+                        and state is None
                         and self._replay.is_completed(key)
-                        and key not in self._planned_keys
                     ):
                         # Journaled complete + durable in cache: replayed
                         # without re-simulation, exactly as promised.
-                        self._planned_keys.add(key)
-                        self.journal_stats["replayed"] += 1
+                        self._replayed += 1
                     else:
-                        self._note_planned(cell, key)
-                        self._note_completed(cell, key, source="cache")
+                        self._record("planned", cell, key)
+                        self._record("completed", cell, key, source="cache")
                     continue
-            self._note_planned(cell, key)
+            self._record("planned", cell, key)
             pending.append(cell)
         return pending
 
-    def _run_uncached(self, cell: Cell) -> None:
+    def _run_serial(self, cell: Cell) -> None:
         """Simulate one cell in-process and publish it to the cache (the
         cache store is fsync-durable, so the ``completed`` record that
-        follows it never lies)."""
+        follows it never lies).  This is the one abandonment site: a
+        cell whose serial run fails is journaled ``abandoned``, and up to
+        ``max_abandoned`` of those are absorbed before re-raising."""
         key = self._journal_key(cell)
-        self._note_dispatched(cell, key, mode="serial")
-        result = self._simulate(*cell)
-        if self.cache is not None:
-            self.cache.store(key, result.to_dict())
+        self._record("dispatched", cell, key, mode="serial")
+        try:
+            result = self._simulate(*cell)
+            if self.cache is not None:
+                self.cache.store(key, result.to_dict())
+        except Exception as error:
+            self.failures.abandoned.append(_cell_label(*cell))
+            self._record(
+                "abandoned", cell, key,
+                reason=f"{type(error).__name__}: {error}",
+            )
+            if len(self.failures.abandoned) > self.max_abandoned:
+                raise
+            return
         self._runs[cell] = result
-        self._note_completed(cell, key, source="serial")
+        self._record("completed", cell, key, source="serial")
 
-    def _heartbeat_spec(self) -> Optional[Tuple[str, float]]:
-        """The ``(dir, interval)`` heartbeat assignment workers carry, or
-        None when supervision is off.  The scratch dir rides the cache
-        root when there is one (shared with workers anyway), a temp dir
-        otherwise."""
-        if self.heartbeat_timeout is None:
-            return None
-        if self._hb_dir is None:
-            if self._cache_dir is not None:
-                hb_dir = Path(self._cache_dir) / ".hb"
-                hb_dir.mkdir(parents=True, exist_ok=True)
-                self._hb_dir = str(hb_dir)
-            else:
-                self._hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
-        return (self._hb_dir, self.heartbeat_interval)
+    # -- hardened parallel prefetch ---------------------------------------------
 
-    def _specs_for(self, cells: Sequence[Cell]) -> List[Tuple]:
+    def _tasks_for(self, cells: Sequence[Cell]) -> List[WorkerTask]:
         by_name: Dict[str, List[Tuple[int, str]]] = {}
         for name, n_cores, strategy in cells:
             by_name.setdefault(name, []).append((n_cores, strategy))
-        heartbeat = self._heartbeat_spec()
         return [
-            (
-                name,
-                name_cells,
-                self.seed,
-                self.max_cycles,
-                self._cache_dir,
-                self.fault_config,
-                self.config_overrides,
-                heartbeat,
+            WorkerTask(
+                benchmark=name,
+                cells=tuple(name_cells),
+                seed=self.seed,
+                max_cycles=self.max_cycles,
+                cache_dir=self._cache_dir,
+                faults=self.fault_config,
+                config_overrides=self.config_overrides,
             )
             for name, name_cells in by_name.items()
         ]
 
-    def _backoff_delay(self, round_index: int) -> float:
-        """Exponential backoff with deterministic seeded jitter: the
-        base doubles per round, and a [1.0, 2.0) multiplier drawn from
-        ``backoff_seed`` desynchronizes retry storms across drivers that
-        share a machine, while keeping each driver's sleeps replayable."""
-        base = self.retry_backoff * (2 ** (round_index - 1))
-        return base * (1.0 + self._backoff_rng.random())
-
     def _prefetch_parallel(self, pending: List[Cell]) -> None:
         """Fan ``pending`` out to worker processes, surviving hangs and
-        crashes: each pool round enforces per-task deadlines (plus
-        heartbeat supervision when armed), overdue tasks are retried in
-        the next round after a jittered exponential backoff, and once
-        ``retries`` rounds are spent (or the pool breaks) the leftovers
-        run serially in-process -- slower, never wrong.  A cell that
-        fails even serially is journaled ``abandoned``; up to
-        ``max_abandoned`` of those are absorbed before re-raising."""
-        for round_index in range(self.retries + 1):
+        crashes: overdue tasks are retried in a fresh pool after an
+        exponential backoff, and once ``RETRIES`` rounds are spent the
+        leftovers run serially in-process -- slower, never wrong."""
+        for round_index in range(RETRIES + 1):
             if round_index:
-                time.sleep(self._backoff_delay(round_index))
+                time.sleep(RETRY_BACKOFF_S * 2 ** (round_index - 1))
                 self.failures.retried.extend(
                     _cell_label(*cell) for cell in pending
                 )
-            leftovers = self._pool_round(self._specs_for(pending))
-            if not leftovers:
-                return
+            leftovers = self._pool_round(self._tasks_for(pending))
             # A timed-out worker may still have finished the store before
             # we stopped waiting; the cache probe rescues those cells.
             pending = self._resolve_cached(
-                [
-                    (name, n_cores, strategy)
-                    for name, name_cells, *_ in leftovers
-                    for n_cores, strategy in name_cells
-                ]
+                [cell for task in leftovers for cell in task.cell_list()]
             )
             if not pending:
                 return
-        for cell in pending:
-            self._run_degraded(cell)
+        self._degrade(pending)
 
-    def _run_degraded(self, cell: Cell) -> None:
-        """Serial re-run of one cell after pool trouble; a cell that
-        fails even here escalates to ``abandoned`` (bounded by
-        ``max_abandoned``, so one poisoned cell cannot silently eat the
-        whole grid -- but a chaos run can finish around it)."""
-        self.failures.degraded.append(_cell_label(*cell))
-        try:
-            self._run_uncached(cell)
-        except Exception as error:
-            self._abandon(cell, error)
-            if len(self.failures.abandoned) > self.max_abandoned:
-                raise
+    def _degrade(self, cells: Sequence[Cell]) -> None:
+        """Serial re-run of cells after pool trouble."""
+        for cell in cells:
+            self.failures.degraded.append(_cell_label(*cell))
+            self._run_serial(cell)
 
-    def _spec_cells(self, spec: Tuple) -> List[Cell]:
-        name = spec[0]
-        return [(name, n_cores, strategy) for n_cores, strategy in spec[1]]
+    def _fail(self, task: WorkerTask, reason: str) -> None:
+        for cell in task.cell_list():
+            self._record("failed", cell, self._journal_key(cell), reason=reason)
 
-    def _fail_spec(self, spec: Tuple, reason: str) -> None:
-        for cell in self._spec_cells(spec):
-            self._note_failed(cell, reason)
-
-    def _pool_round(self, specs: List[Tuple]) -> List[Tuple]:
-        """One pool pass over ``specs``.  Returns the specs that blew
-        their deadline or lost their heartbeat (for the caller to
-        retry).  A broken pool sends every unfinished spec straight to
-        the serial fallback -- the pool machinery itself is no longer
-        trusted this round."""
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        started = time.monotonic()
-        supervising = self.heartbeat_timeout is not None
-        futures = {}
-        deadlines = {}
-        timed_out: List[Tuple] = []
+    def _pool_round(self, tasks: List[WorkerTask]) -> List[WorkerTask]:
+        """One pool over ``tasks`` with at most ``jobs`` in flight; each
+        task's deadline (``cell_timeout`` per cell) starts at its own
+        submission.  A timeout stops the pool taking tasks -- the hung
+        worker still holds its slot -- so the timed-out and unsubmitted
+        tasks are returned for the next round's fresh pool.  A broken
+        pool sends every unfinished task to the serial fallback."""
+        queue = deque(tasks)
+        running: Dict[Future, Tuple[WorkerTask, Optional[float]]] = {}
+        finished: List[Tuple[WorkerTask, List[Dict[str, object]]]] = []
+        crashed: List[WorkerTask] = []
+        retry: List[WorkerTask] = []
         broken = False
-        unsubmitted: List[Tuple] = []
-        for index, spec in enumerate(specs):
-            if supervising and self._hb_dir is not None:
-                # A beat left over from an earlier round must not read
-                # as instantly stale for this round's worker.
-                try:
-                    _heartbeat_path(self._hb_dir, spec[0]).unlink()
-                except OSError:
-                    pass
-            try:
-                future = pool.submit(self._worker_fn, spec)
-            except BrokenProcessPool:
-                # A worker died while the round was still being fed (an
-                # instant crash can poison the pool between submits);
-                # nothing more can be submitted this round.
-                broken = True
-                self.failures.worker_crashes += 1
-                unsubmitted = specs[index:]
-                break
-            futures[future] = spec
-            for cell in self._spec_cells(spec):
-                self._note_dispatched(cell, self._journal_key(cell), mode="pool")
-            if self.cell_timeout is not None:
-                deadlines[future] = started + self.cell_timeout * max(
-                    1, len(spec[1])
-                )
-        if broken:
-            for spec in list(futures.values()) + unsubmitted:
-                self._fail_spec(spec, "pool-broken")
-                self._serial_fallback(spec)
-            futures.clear()
+        pool = ProcessPoolExecutor(max_workers=self.jobs)
         try:
-            while futures:
+            while True:
+                submitted: List[WorkerTask] = []
+                while queue and len(running) < self.jobs and not (
+                    retry or broken
+                ):
+                    try:
+                        future = pool.submit(self._worker_fn, queue[0])
+                    except BrokenProcessPool:
+                        broken = True  # a worker died between submits
+                        break
+                    task = queue.popleft()
+                    deadline = None
+                    if self.cell_timeout is not None:
+                        allowed = self.cell_timeout * len(task.cells)
+                        deadline = time.monotonic() + allowed
+                    running[future] = (task, deadline)
+                    submitted.append(task)
+                # Journal the dispatches only once the free slots are
+                # filled: an fsync between two submits would give an
+                # instantly crashing worker time to break the pool
+                # before its sibling is ever dispatched.
+                for task in submitted:
+                    for cell in task.cell_list():
+                        self._record(
+                            "dispatched", cell, self._journal_key(cell), mode="pool"
+                        )
+                # Absorb after refilling, so no worker idles while the
+                # driver fsyncs the finished tasks' records.
+                for task, payloads in finished:
+                    self._absorb(task, payloads)
+                finished = []
+                if broken or not running:
+                    break
+                deadlines = [d for _, d in running.values() if d is not None]
                 budget = None
                 if deadlines:
-                    budget = max(
-                        0.0,
-                        min(
-                            deadlines[f] for f in futures if f in deadlines
-                        ) - time.monotonic(),
-                    )
-                if supervising:
-                    # Wake often enough to notice a silenced heartbeat
-                    # long before any cell deadline would.
-                    poll = max(0.05, self.heartbeat_timeout / 4.0)
-                    budget = poll if budget is None else min(budget, poll)
+                    budget = max(0.0, min(deadlines) - time.monotonic())
                 done, _ = wait(
-                    set(futures), timeout=budget, return_when=FIRST_COMPLETED
+                    running, timeout=budget, return_when=FIRST_COMPLETED
                 )
-                if supervising:
-                    # Supervisor pass: a task that has beaten at least
-                    # once but has now been silent past the heartbeat
-                    # deadline is declared hung/killed and abandoned for
-                    # this round (cancel() cannot interrupt it).
-                    now_wall = time.time()
-                    for future in list(futures):
-                        if future in done:
-                            continue
-                        spec = futures[future]
-                        beat = _read_heartbeat(
-                            _heartbeat_path(self._hb_dir, spec[0])
-                        )
-                        if (
-                            beat is not None
-                            and now_wall - beat > self.heartbeat_timeout
-                        ):
-                            futures.pop(future)
-                            future.cancel()
-                            timed_out.append(spec)
-                            self.failures.timed_out.append(spec[0])
-                            self._fail_spec(spec, "heartbeat-lost")
-                if not done:
-                    # Deadline expiry.  cancel() cannot interrupt a running
-                    # worker process, so the task is abandoned: its future
-                    # is dropped and the pool torn down without waiting.
-                    now = time.monotonic()
-                    for future in list(futures):
-                        if deadlines.get(future, now + 1) <= now:
-                            spec = futures.pop(future)
-                            future.cancel()
-                            timed_out.append(spec)
-                            self.failures.timed_out.append(spec[0])
-                            self._fail_spec(spec, "timeout")
-                    continue
-                for future in done:
-                    if future not in futures:
-                        continue  # reaped by the supervisor this wake
-                    spec = futures.pop(future)
-                    try:
-                        payloads = future.result()
-                    except BrokenProcessPool:
-                        # A worker died mid-task (segfault, OOM kill,
-                        # os._exit); every sibling future is now poisoned.
-                        broken = True
-                        self.failures.worker_crashes += 1
-                        self._fail_spec(spec, "worker-crashed")
-                        self._serial_fallback(spec)
-                        for other_spec in futures.values():
-                            self._fail_spec(other_spec, "pool-broken")
-                            self._serial_fallback(other_spec)
-                        futures.clear()
-                        break
-                    self._absorb(spec, payloads)
+                now = time.monotonic()
+                for future, (task, deadline) in list(running.items()):
+                    if future in done:
+                        del running[future]
+                        try:
+                            finished.append((task, future.result()))
+                        except BrokenProcessPool:
+                            # A worker died mid-task (segfault, OOM kill,
+                            # os._exit); every sibling future is poisoned.
+                            crashed.append(task)
+                            broken = True
+                    elif deadline is not None and deadline <= now:
+                        # cancel() cannot interrupt a running worker, so
+                        # the task is dropped and the pool torn down
+                        # without waiting for it.
+                        del running[future]
+                        future.cancel()
+                        retry.append(task)
+                        self.failures.timed_out.append(task.benchmark)
+                        self._fail(task, "timeout")
         finally:
-            pool.shutdown(wait=not timed_out and not broken, cancel_futures=True)
-        return timed_out
+            pool.shutdown(wait=not (retry or broken), cancel_futures=True)
+        if not broken:
+            return retry + list(queue)
+        self.failures.worker_crashes += 1
+        for task in crashed + [task for task, _ in running.values()]:
+            reason = "worker-crashed" if task in crashed else "pool-broken"
+            self._fail(task, reason)
+            self._degrade(self._resolve_cached(task.cell_list()))
+        for task in queue:  # never dispatched: nothing failed
+            self._degrade(self._resolve_cached(task.cell_list()))
+        return retry
 
-    def _absorb(self, spec: Tuple, payloads: List[Dict[str, object]]) -> None:
-        name = spec[0]
-        for (n_cores, strategy), payload in zip(spec[1], payloads):
-            cell = (name, n_cores, strategy)
+    def _absorb(self, task: WorkerTask, payloads: List[Dict[str, object]]) -> None:
+        for cell, payload in zip(task.cell_list(), payloads):
             self._runs[cell] = RunResult.from_dict(payload)
             # The worker stored the result durably before returning it
             # (same content-hash key), so completion is safe to journal.
-            self._note_completed(cell, self._journal_key(cell), source="worker")
-
-    def _serial_fallback(self, spec: Tuple) -> None:
-        """Run one spec's cells in-process after pool trouble (re-probing
-        the cache first -- the worker may have finished some cells)."""
-        for cell in self._resolve_cached(self._spec_cells(spec)):
-            self._run_degraded(cell)
+            self._record(
+                "completed", cell, self._journal_key(cell), source="worker"
+            )
 
     def baseline(self, name: str) -> RunResult:
         return self.run(name, 1, "baseline")

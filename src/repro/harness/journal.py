@@ -5,9 +5,9 @@ The experiment drivers (``ExperimentRunner.prefetch``/``run``,
 worker segfaults mid-round or the driver itself is SIGKILLed.  The
 :class:`RunJournal` closes that gap: an append-only JSONL file with one
 fsynced record per cell lifecycle event, written by the *driver* (a
-single writer -- workers only touch the result cache and their heartbeat
-files), so at any instant the journal on disk is a complete, durable
-account of what was planned, what finished, and what was given up on.
+single writer -- workers only touch the result cache), so at any
+instant the journal on disk is a complete, durable account of what was
+planned, what finished, and what was given up on.
 
 Lifecycle events (``cell`` is the ``[benchmark, cores, strategy]``
 triple, ``key`` its content-hash cache key)::
@@ -15,7 +15,7 @@ triple, ``key`` its content-hash cache key)::
     planned     the driver committed to producing this cell
     dispatched  an attempt started (``mode``: pool round or serial)
     completed   the result is durable in the result cache
-    failed      one attempt died (timeout, heartbeat loss, pool breakage)
+    failed      one attempt died (timeout, worker crash, pool breakage)
     abandoned   every attempt exhausted; the cell has no result
 
 plus meta records that never affect replay state: ``start`` (journal
@@ -51,7 +51,7 @@ JOURNAL_VERSION = 1
 LIFECYCLE_EVENTS = ("planned", "dispatched", "completed", "failed", "abandoned")
 
 #: Events replay ignores (headers, signal flushes, annotations).
-META_EVENTS = ("start", "interrupted", "note", "heartbeat")
+META_EVENTS = ("start", "interrupted", "note")
 
 #: States replay treats as final: the cell needs no further attempts.
 TERMINAL_STATES = frozenset({"completed", "abandoned"})
@@ -262,6 +262,10 @@ def read_journal(path: Union[str, Path]) -> List[Dict[str, Any]]:
 class JournalReplay:
     """The per-cell state machine distilled from a journal's records.
 
+    Replay feeds a whole history through :meth:`apply`; the experiment
+    runner keeps one live instance for its current run and applies each
+    record as it writes it, so both read the same state machine.
+
     Cells are keyed by their content-hash cache key (two sweep runners
     can plan the same ``(benchmark, cores, strategy)`` triple under
     different machine overrides -- the key disambiguates).  Records
@@ -269,7 +273,7 @@ class JournalReplay:
     rendered cell triple.
     """
 
-    def __init__(self, records: Iterable[Dict[str, Any]]) -> None:
+    def __init__(self, records: Iterable[Dict[str, Any]] = ()) -> None:
         #: key -> last lifecycle event seen for that cell.
         self.states: Dict[str, str] = {}
         #: key -> the cell triple (for rendering).
@@ -278,34 +282,38 @@ class JournalReplay:
         self.attempts: Dict[str, int] = {}
         self.interrupted = False
         for record in records:
-            event = record.get("event")
-            if event == "start":
-                version = record.get("journal_version")
-                if version != JOURNAL_VERSION:
-                    raise ValueError(
-                        f"unsupported journal_version {version!r} "
-                        f"(this release reads {JOURNAL_VERSION})"
-                    )
-                continue
-            if event == "interrupted":
-                self.interrupted = True
-                continue
-            if event not in LIFECYCLE_EVENTS:
-                continue  # meta/unknown records never affect replay
-            key = self._key_of(record)
-            if key is None:
-                continue
-            self.cells[key] = record.get("cell", [])
-            if event == "dispatched":
-                self.attempts[key] = self.attempts.get(key, 0) + 1
-            # completed is sticky: a later planned/failed for the same key
-            # (a paranoid re-run) must not demote a durable result.
-            if self.states.get(key) == "completed" and event != "abandoned":
-                continue
-            self.states[key] = event
+            self.apply(record)
+
+    def apply(self, record: Dict[str, Any]) -> None:
+        """Advance the state machine by one record."""
+        event = record.get("event")
+        if event == "start":
+            version = record.get("journal_version")
+            if version != JOURNAL_VERSION:
+                raise ValueError(
+                    f"unsupported journal_version {version!r} "
+                    f"(this release reads {JOURNAL_VERSION})"
+                )
+            return
+        if event == "interrupted":
+            self.interrupted = True
+            return
+        if event not in LIFECYCLE_EVENTS:
+            return  # meta/unknown records never affect replay
+        key = self.key_of(record)
+        if key is None:
+            return
+        self.cells[key] = record.get("cell", [])
+        if event == "dispatched":
+            self.attempts[key] = self.attempts.get(key, 0) + 1
+        # completed is sticky: a later planned/failed for the same key
+        # (a paranoid re-run) must not demote a durable result.
+        if self.states.get(key) == "completed" and event != "abandoned":
+            return
+        self.states[key] = event
 
     @staticmethod
-    def _key_of(record: Dict[str, Any]) -> Optional[str]:
+    def key_of(record: Dict[str, Any]) -> Optional[str]:
         key = record.get("key")
         if key:
             return str(key)

@@ -86,11 +86,12 @@ def render_failure_line(runner) -> str:
             f"{len(failures.abandoned)} cell(s) abandoned "
             f"[{', '.join(failures.abandoned)}]"
         )
-    max_attempts = failures.max_attempts()
-    if max_attempts > 1:
-        worst = sum(1 for count in failures.attempts.values() if count > 1)
+    lifecycle = getattr(runner, "lifecycle", None)
+    attempts = list(lifecycle.attempts.values()) if lifecycle else []
+    if max(attempts, default=0) > 1:
         parts.append(
-            f"up to {max_attempts} attempt(s) over {worst} cell(s)"
+            f"up to {max(attempts)} attempt(s) over "
+            f"{sum(1 for count in attempts if count > 1)} cell(s)"
         )
     return "failures  : " + "; ".join(parts)
 

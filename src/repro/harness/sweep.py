@@ -182,7 +182,6 @@ def run_sweep(
     cell_timeout: Optional[float] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    heartbeat_timeout: Optional[float] = None,
 ) -> Dict[str, object]:
     """Execute the sweep and assemble the JSON-ready result document.
 
@@ -240,7 +239,6 @@ def run_sweep(
                     config_overrides=overrides,
                     journal=run_journal,
                     replay=replay,
-                    heartbeat_timeout=heartbeat_timeout,
                 )
                 runner.prefetch(
                     [(name, 1, "baseline") for name in spec.workloads]

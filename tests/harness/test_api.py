@@ -172,7 +172,7 @@ class TestCliProfiling:
         assert (
             cli_main(
                 [
-                    "run", "--benchmark", "rawcaudio", "--cores", "2",
+                    "run", "--benchmark", "rawcaudio", "--machine", "2",
                     "--strategy", "ilp",
                     "--trace-out", str(trace_path),
                     "--metrics-out", str(metrics_path),

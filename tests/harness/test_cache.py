@@ -176,7 +176,7 @@ class TestCliCacheFlags:
 
     def test_no_cache_flag_bypasses_cache(self, tmp_path):
         output = self._run_cli(
-            ["run", "--benchmark", BENCH, "--cores", "1", "--no-cache",
+            ["run", "--benchmark", BENCH, "--machine", "1", "--no-cache",
              "--cache-dir", str(tmp_path / "never")]
         )
         assert "cache     : disabled" in output
@@ -185,13 +185,13 @@ class TestCliCacheFlags:
     def test_cache_dir_flag_populates_and_reuses(self, tmp_path):
         cache_dir = tmp_path / "cache"
         cold = self._run_cli(
-            ["run", "--benchmark", BENCH, "--cores", "1",
+            ["run", "--benchmark", BENCH, "--machine", "1",
              "--cache-dir", str(cache_dir)]
         )
         assert "0 hit(s)" in cold
         assert cache_dir.is_dir() and any(cache_dir.iterdir())
         warm = self._run_cli(
-            ["run", "--benchmark", BENCH, "--cores", "1",
+            ["run", "--benchmark", BENCH, "--machine", "1",
              "--cache-dir", str(cache_dir)]
         )
         assert "0 miss(es)" in warm

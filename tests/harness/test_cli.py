@@ -27,9 +27,9 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["run", "--benchmark", "gsmdecode"])
-        # Neither machine spelling is pinned at parse time; the run
-        # command resolves the paper's 4-core mesh when both are unset.
-        assert args.machine is None and args.cores is None
+        # The machine is not pinned at parse time; the run command
+        # resolves the paper's 4-core mesh when --machine is unset.
+        assert args.machine is None
         assert args.strategy == "hybrid"
 
 
@@ -42,7 +42,7 @@ class TestCommands:
 
     def test_run_single_benchmark(self):
         code, text = run_cli(
-            ["run", "--benchmark", "rawcaudio", "--cores", "2",
+            ["run", "--benchmark", "rawcaudio", "--machine", "2",
              "--strategy", "ilp", "--stalls"]
         )
         assert code == 0
@@ -51,7 +51,7 @@ class TestCommands:
 
     def test_run_single_core_is_baseline(self):
         code, text = run_cli(
-            ["run", "--benchmark", "rawcaudio", "--cores", "1"]
+            ["run", "--benchmark", "rawcaudio", "--machine", "1"]
         )
         assert code == 0
         assert "strategy baseline" in text
@@ -89,7 +89,7 @@ class TestGeneratedWorkloads:
 
         handle = make_handle(11, GenKnobs(regions=(1, 2), trips=(8, 16)))
         code, text = run_cli(
-            ["run", "--benchmark", handle, "--cores", "2",
+            ["run", "--benchmark", handle, "--machine", "2",
              "--strategy", "tlp"]
         )
         assert code == 0
@@ -122,7 +122,7 @@ class TestSweepCommand:
         out_path = tmp_path / "sweep.json"
         code, text = run_cli(
             ["sweep", "--generated", "2", "--gen-seed", "31",
-             "--strategies", "hybrid", "--cores", "2", "4",
+             "--strategies", "hybrid", "--machines", "2", "4",
              "--queue-depths", "4", "16",
              "--memory-latencies", "50", "200",
              "--cache-dir", str(tmp_path / "cache"),

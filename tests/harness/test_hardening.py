@@ -27,6 +27,7 @@ from repro.harness import (
     render_failure_line,
     render_fault_line,
 )
+from repro.harness import experiments
 from repro.harness.cli import build_parser, _make_runner, main as cli_main
 from repro.harness.experiments import _run_cells_worker
 from repro.sim.faults import FaultConfig
@@ -38,26 +39,26 @@ BENCHES = ("rawcaudio", "gsmdecode")
 CELLS = [(name, 1, "baseline") for name in BENCHES]
 
 
-def _crash_worker(spec):
+def _crash_worker(task):
     # Simulates a segfault / OOM kill: the worker process dies without
     # unwinding, which surfaces in the parent as BrokenProcessPool.
     os._exit(3)
 
 
-def _hang_worker(spec):
+def _hang_worker(task):
     time.sleep(3.0)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
-def _flaky_worker(spec):
+def _flaky_worker(task):
     # First invocation per benchmark hangs past any sane deadline; every
     # later one behaves.  The marker lives in the (shared) cache dir so
     # the state survives the worker process boundary.
-    marker = Path(spec[4]) / f"flaky-{spec[0]}"
+    marker = Path(task.cache_dir) / f"flaky-{task.benchmark}"
     if not marker.exists():
         marker.write_text("seen")
         time.sleep(3.0)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
 def _runner(tmp_path, **kwargs):
@@ -94,8 +95,9 @@ class TestWorkerCrash:
 
 
 class TestCellTimeout:
-    def test_hung_worker_times_out_and_falls_back(self, tmp_path):
-        runner = _runner(tmp_path, cell_timeout=0.5, retries=0)
+    def test_hung_worker_times_out_and_falls_back(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "RETRIES", 0)
+        runner = _runner(tmp_path, cell_timeout=0.5)
         runner._worker_fn = _hang_worker
         started = time.monotonic()
         runner.prefetch(CELLS)
@@ -108,13 +110,12 @@ class TestCellTimeout:
         # must beat the 3s the workers would have slept.
         assert elapsed < 3.0
 
-    def test_flaky_worker_recovers_on_retry(self, tmp_path):
+    def test_flaky_worker_recovers_on_retry(self, tmp_path, monkeypatch):
         # Round one hangs past the deadline; the retry behaves.  The
         # deadline leaves room for a real worker (interpreter start +
         # build + simulate), while the hang comfortably exceeds it.
-        runner = _runner(
-            tmp_path, cell_timeout=2.5, retries=2, retry_backoff=0.05
-        )
+        monkeypatch.setattr(experiments, "RETRY_BACKOFF_S", 0.05)
+        runner = _runner(tmp_path, cell_timeout=2.5)
         (tmp_path / "cache").mkdir(parents=True, exist_ok=True)
         runner._worker_fn = _flaky_worker
         runner.prefetch(CELLS)
@@ -251,7 +252,7 @@ class TestFaultKnobs:
         out = io.StringIO()
         assert (
             cli_main(
-                ["run", "--benchmark", "rawcaudio", "--cores", "2",
+                ["run", "--benchmark", "rawcaudio", "--machine", "2",
                  "--strategy", "ilp", "--faults", "--fault-seed", "5",
                  "--fault-rate", "0.05", "--cache-dir", str(tmp_path)],
                 out=out,
@@ -269,7 +270,7 @@ class TestFaultKnobs:
         out = io.StringIO()
         assert (
             cli_main(
-                ["run", "--benchmark", "rawcaudio", "--cores", "2",
+                ["run", "--benchmark", "rawcaudio", "--machine", "2",
                  "--strategy", "tlp", "--faults", "--fault-seed", "5",
                  "--fault-profile", "destructive",
                  "--cache-dir", str(tmp_path)],

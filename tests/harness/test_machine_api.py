@@ -1,5 +1,5 @@
-"""The machine= API redesign: deprecation shims, preset plumbing
-through session/run_cell/sweep, and the CLI --machine flag."""
+"""The machine= API: one machine spelling, preset plumbing through
+session/run_cell/sweep, and the CLI --machine flag."""
 
 import io
 
@@ -12,16 +12,21 @@ from repro.harness import cli
 
 
 class TestMachineKwarg:
-    def test_cores_kwarg_warns_and_still_works(self, tmp_path):
-        with pytest.deprecated_call():
-            result = api.run_cell(
-                "rawcaudio", cores=2, strategy="ilp", cache_dir=tmp_path
-            )
-        assert result.correct
-        assert result.n_cores == 2
+    @pytest.mark.parametrize("call", [
+        lambda: api.run_cell("rawcaudio", cores=2),
+        lambda: api.compile_benchmark("rawcaudio", cores=2),
+        lambda: api.verify_benchmark("rawcaudio", cores=2),
+        lambda: api.run_figure("13", cores=2),
+        lambda: api.sweep(["rawcaudio"], cores=(2,)),
+    ], ids=["run_cell", "compile_benchmark", "verify_benchmark",
+            "run_figure", "sweep"])
+    def test_cores_kwarg_removed(self, call):
+        with pytest.raises(TypeError, match="cores"):
+            call()
 
     def test_both_spellings_is_a_type_error(self):
-        with pytest.raises(TypeError, match="both"):
+        # machine= must not quietly win over a stray cores=.
+        with pytest.raises(TypeError, match="cores"):
             api.run_cell("rawcaudio", machine=2, cores=2)
 
     def test_run_cell_requires_a_machine(self):
@@ -50,13 +55,6 @@ class TestMachineKwarg:
             "rawcaudio", "mesh16-directory", strategy="llp"
         )
         assert report.ok
-
-    def test_sweep_cores_kwarg_warns(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError):
-                # Invalid workload aborts before any simulation; the
-                # deprecation fires first.
-                api.sweep([], cores=(2,))
 
     def test_list_presets_reexported(self):
         names = repro.list_presets()
@@ -114,17 +112,15 @@ class TestCliMachine:
         assert code == 0
         assert "2 core(s)" in out.getvalue()
 
-    def test_run_rejects_machine_plus_cores(self):
-        out = io.StringIO()
-        code = cli.main(
-            [
-                "run", "--benchmark", "rawcaudio", "--machine", "two",
-                "--cores", "4",
-            ],
-            out=out,
-        )
-        assert code == 2
-        assert "not both" in out.getvalue()
+    @pytest.mark.parametrize("argv", [
+        ["run", "--benchmark", "rawcaudio", "--cores", "4"],
+        ["sweep", "--workloads", "rawcaudio", "--cores", "4"],
+    ], ids=["run", "sweep"])
+    def test_cores_alias_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv, out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "--cores" in capsys.readouterr().err
 
     def test_run_rejects_unknown_preset(self):
         out = io.StringIO()
@@ -149,15 +145,3 @@ class TestCliMachine:
         )
         assert code == 0
         assert "1 cells" in out.getvalue()
-
-    def test_sweep_rejects_machines_plus_cores(self):
-        out = io.StringIO()
-        code = cli.main(
-            [
-                "sweep", "--workloads", "rawcaudio",
-                "--machines", "2", "--cores", "4",
-            ],
-            out=out,
-        )
-        assert code == 2
-        assert "not both" in out.getvalue()

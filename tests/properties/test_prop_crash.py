@@ -43,23 +43,23 @@ CELLS = [(name, cores, s) for name in BENCHES
          for cores, s in ((1, "baseline"), (2, "ilp"))]
 
 
-def _kill_plan_worker(spec):
+def _kill_plan_worker(task):
     """Pool worker that honors a one-shot kill plan: a
     ``killplan-<benchmark>`` file in the cache dir names the phase --
     ``before-simulate`` (SIGKILL with nothing durable) or
     ``after-store`` (simulate, publish durably, *then* SIGKILL before
     reporting back).  The marker is consumed first, so the retry or the
     serial fallback runs clean, exactly like a real transient crash."""
-    marker = Path(spec[4]) / f"killplan-{spec[0]}"
+    marker = Path(task.cache_dir) / f"killplan-{task.benchmark}"
     if marker.exists():
         phase = marker.read_text()
         marker.unlink()
         if phase == "before-simulate":
             os.kill(os.getpid(), signal.SIGKILL)
-        payloads = _run_cells_worker(spec)
+        payloads = _run_cells_worker(task)
         assert payloads  # the store happened; the report never will
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_cells_worker(spec)
+    return _run_cells_worker(task)
 
 
 def _golden(tmp_path):
@@ -138,7 +138,7 @@ class TestWorkerSigkill:
 
 SWEEP_ARGS = [
     "sweep", "--workloads", *BENCHES,
-    "--cores", "2", "4", "--strategies", "ilp", "tlp", "llp",
+    "--machines", "2", "4", "--strategies", "ilp", "tlp", "llp",
 ]
 
 #: Cells the sweep grid dispatches: 2 baselines + 2x2x3 strategy cells.
