@@ -64,6 +64,14 @@ Channels sample geometric inter-arrival gaps (the exact distribution of
 or sparse channel costs one integer decrement per probe instead of an
 RNG draw.  With no plan attached the hooks are a single ``is None``
 check.
+
+Because every channel is a countdown, fault runs keep the machine's
+stall fast-forward kernel.  Inside a provable stall window only the
+stall-bus and blackout channels are probed, a fixed number of times per
+cycle, so :meth:`FaultPlan.horizon` says how many whole cycles pass
+before either fires; the machine caps the window there and
+:meth:`FaultPlan.skip` consumes the window's probes in bulk, leaving the
+fault schedule exactly as single-stepping would.
 """
 
 from __future__ import annotations
@@ -192,14 +200,29 @@ class _Channel:
             self.plan.on_fault(self.event, delay)
         return delay
 
+    def horizon(self, probes_per_cycle: int) -> int:
+        """Whole cycles before the next fire when each cycle probes the
+        channel ``probes_per_cycle`` times (0: a probe this cycle fires;
+        an unprobed channel never fires)."""
+        if probes_per_cycle <= 0:
+            return _NEVER
+        return (self.countdown - 1) // probes_per_cycle
+
+    def skip(self, probes: int) -> None:
+        """``probes`` non-firing probes at once: the countdown after
+        ``probes`` calls of :meth:`fire`, which must all have returned 0
+        (:meth:`horizon` bounds how many that may be)."""
+        self.countdown -= probes
+
 
 class FaultPlan:
     """A deterministic fault schedule, consumed site by site as the
     machine runs.  Attach one via ``VoltronMachine(..., faults=plan)``;
     the machine wires it into the bus, the instruction caches, the
-    operand network, and the TM, and falls back to the single-step
-    kernel (fault arrivals are per-cycle events the stall fast-forward
-    classifier cannot see)."""
+    operand network, and the TM.  Stall fast-forwarding stays on: each
+    window is capped at :meth:`horizon` and its probes consumed by
+    :meth:`skip`, so a fast-forwarded run draws the same schedule as a
+    single-stepped one."""
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
@@ -290,6 +313,41 @@ class FaultPlan:
         """Duration of a transient core blackout starting this cycle
         (0 = no fault).  Probed once per eligible core-cycle."""
         return self._blackout.fire()
+
+    # -- stall fast-forward windows -----------------------------------------------
+
+    def horizon(self, stall_probes: int, blackout_probes: int) -> int:
+        """Whole cycles before the stall-bus or blackout channel next
+        fires, when each stalled cycle probes them ``stall_probes`` times
+        (once per coupled ensemble with a running core) and
+        ``blackout_probes`` times (once per decoupled core reaching the
+        blackout gate).  No other channel is probed by a stalled cycle."""
+        return min(self._stall.horizon(stall_probes),
+                   self._blackout.horizon(blackout_probes))
+
+    def skip(self, stall_probes: int, blackout_probes: int) -> None:
+        """Consume a fast-forwarded window's non-firing probes in bulk."""
+        self._stall.skip(stall_probes)
+        self._blackout.skip(blackout_probes)
+
+    def clip_window(self, cycle: int, target: int, stall_probes: int,
+                    recovery) -> int:
+        """End the stall window ``[cycle, target)`` at the next stall-bus
+        or blackout fire and, with a
+        :class:`~repro.sim.recovery.RecoveryManager`, at its next
+        action; consume the probes of a non-empty window (the machine
+        commits every one) and return its new end."""
+        blackout_probes = 0
+        if recovery is not None:
+            target = min(target, recovery.horizon(cycle))
+            blackout_probes = recovery.blackout_probes(cycle)
+        target = min(
+            target, cycle + self.horizon(stall_probes, blackout_probes)
+        )
+        if target > cycle:
+            cycles = target - cycle
+            self.skip(stall_probes * cycles, blackout_probes * cycles)
+        return target
 
     # -- accounting -------------------------------------------------------------
 

@@ -40,9 +40,12 @@ statistic:
   stall categories single-stepping would have recorded.
   ``MachineStats.summary()`` is bit-identical either way (the
   ``tests/properties/test_prop_fastpath.py`` differential suite enforces
-  this); pass ``fast_forward=False`` to force the reference single-step
-  kernel.  If every core is blocked and *no* release cycle exists, the
-  machine raises :class:`Deadlock` immediately instead of spinning to
+  this, fault plans included); pass ``fast_forward=False`` to force the
+  reference single-step kernel.  Under a fault plan each window also
+  ends at the next stall-bus or blackout fire and at the recovery
+  layer's next action, and the skipped probes are consumed in bulk.  If
+  every core is blocked and *no* release cycle exists, the machine
+  raises :class:`Deadlock` immediately instead of spinning to
   ``max_cycles``.
 """
 
@@ -133,10 +136,8 @@ class VoltronMachine:
         self.tm = TransactionalMemory(self.memory)
 
         # Fault injection (chaos testing): wire the plan into every
-        # subsystem with an injection site.  Fault arrivals are per-cycle
-        # events the stall fast-forward classifier cannot see, so fault
-        # runs use the reference single-step kernel; with no plan the
-        # hooks are a single is-None check.
+        # subsystem with an injection site; with no plan the hooks are a
+        # single is-None check.
         if isinstance(faults, FaultConfig):
             faults = FaultPlan(faults)
         self.faults = faults
@@ -146,7 +147,6 @@ class VoltronMachine:
         # keeps every hook a single is-None check.
         self.recovery: Optional[RecoveryManager] = None
         if faults is not None:
-            self.fast_forward = False
             self.bus.faults = faults
             for icache in self.icaches:
                 icache.faults = faults
@@ -443,12 +443,20 @@ class VoltronMachine:
         credits: List[Tuple] = []
         releases: List[int] = []
         send_stalled = 0
+        faults = self.faults
+        stall_probes = 0
 
         if self.mode == "coupled":
             for group in self.coupled_ensembles:
                 running = [c for c in group if c.status == RUNNING]
                 if not running:
                     continue
+                stall_probes += 1
+                if faults is not None and faults.horizon(stall_probes, 0) == 0:
+                    # This cycle's stall-bus probe fires: single-step it,
+                    # before the penalty below (the hold's block_until
+                    # and the penalty do not commute).
+                    return False
                 if self._cluster_penalty:
                     # The classifier can be the first to see a new stall
                     # episode (an istall blocks the whole ensemble with
@@ -573,6 +581,10 @@ class VoltronMachine:
                 "release cycle\n" + self._core_diagnostics()
             )
         target = min(min(releases), self.max_cycles)
+        if faults is not None:
+            target = faults.clip_window(
+                cycle, target, stall_probes, self.recovery
+            )
         skipped = target - cycle
         if skipped <= 0:
             return False

@@ -446,6 +446,10 @@ class OperandNetwork:
                 best = message.ready_cycle
         return best
 
+    def next_arrival(self) -> Optional[int]:
+        """Earliest ready_cycle of any message still in flight, or None."""
+        return min((m.ready_cycle for m in self._in_flight), default=None)
+
     def pending_for(self, core: int) -> int:
         return len(self.receive_queues[core]) + sum(
             1 for message in self._in_flight if message.dst == core

@@ -53,9 +53,14 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional
 
+from .core import RUNNING
+
 #: Fixed restore cost once the watchdog fires: re-initializing the
 #: pipeline and reloading the register checkpoint.
 RESTORE_LATENCY = 8
+
+#: Horizon of a recovery layer with nothing pending (no run gets there).
+_FAR = 1 << 62
 
 #: Poison written over a blacked-out core's registers; recovery must
 #: fully replace it (reads of poisoned state would change results, which
@@ -303,14 +308,9 @@ class RecoveryManager:
         register-rollback path.  Returns True when the core went dark
         this cycle (the caller attributes the stall and skips the step).
         """
+        if not self._blackout_eligible(core):
+            return False
         core_id = core.id
-        if core_id in self._down or core_id in self.degraded:
-            return False
-        checkpoint = core.tx_checkpoint
-        if checkpoint is None or not self.machine.tm.in_transaction(core_id):
-            return False
-        if core.call_depth != checkpoint.call_depth:
-            return False
         duration = self.plan.blackout_cycles()
         if not duration:
             return False
@@ -348,6 +348,46 @@ class RecoveryManager:
         ):
             self._degrade_pending.add(core_id)
         return True
+
+    def _blackout_eligible(self, core) -> bool:
+        """The recoverable-window gate of :meth:`maybe_blackout`: a live,
+        undegraded core inside a transaction whose register checkpoint
+        matches its call depth."""
+        core_id = core.id
+        if core_id in self._down or core_id in self.degraded:
+            return False
+        checkpoint = core.tx_checkpoint
+        return (
+            checkpoint is not None
+            and self.machine.tm.in_transaction(core_id)
+            and core.call_depth == checkpoint.call_depth
+        )
+
+    def blackout_probes(self, cycle: int) -> int:
+        """How many times one stalled cycle probes the blackout channel:
+        once per RUNNING, issue-ready decoupled core that passes the
+        gate (coupled cycles never probe it).  A fast-forward window
+        leaves every term constant, so this is the per-cycle rate
+        :meth:`~repro.sim.faults.FaultPlan.horizon` takes."""
+        if self.machine.mode == "coupled":
+            return 0
+        return sum(
+            1 for core in self.machine.cores
+            if core.status == RUNNING and core.next_free <= cycle
+            and self._blackout_eligible(core)
+        )
+
+    def horizon(self, cycle: int) -> int:
+        """The first cycle after ``cycle`` at which the recovery layer
+        acts on its own: the earliest pending watchdog deadline, or the
+        earliest in-flight arrival (:meth:`link_accept` samples its fate
+        and times any retransmission from the delivery cycle).  A
+        fast-forward window must end there."""
+        deadlines = [entry["detect"] for entry in self._down.values()]
+        arrival = self.machine.network.next_arrival()
+        if arrival is not None:
+            deadlines.append(arrival)
+        return min(deadlines, default=cycle + _FAR)
 
     def tick(self, cycle: int) -> None:
         """The watchdog: called once per stepped cycle.  A core whose

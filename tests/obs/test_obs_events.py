@@ -134,6 +134,31 @@ class TestProbes:
         unobserved = _machine("ilp", 2, faults=faults).run()
         assert stats.to_dict() == unobserved.to_dict()
 
+    def test_destructive_mesh_run_reconciles_with_fast_forward_on(self):
+        """A destructive plan on a clustered mesh keeps the fast-forward
+        kernel, and the timeline still accounts for every cycle."""
+        from repro.arch.config import resolve_machine
+        from repro.compiler import VoltronCompiler
+        from repro.workloads.suite import build
+
+        config = resolve_machine("mesh16-directory")
+        compiled = VoltronCompiler(build("171.swim").program).compile(
+            "llp", config
+        )
+        faults = FaultConfig(
+            seed=3, profile="destructive", corrupt_rate=0.05,
+            drop_rate=0.05, blackout_rate=0.0005,
+        )
+        obs = Observability()
+        machine = VoltronMachine(compiled, config, faults=faults, obs=obs)
+        stats = machine.run()
+        assert machine.fast_forward
+        assert stats.recovery["blackouts"] > 0
+        assert obs.ff_windows
+        reconcile(summarize(obs), stats)
+        unobserved = VoltronMachine(compiled, config, faults=faults).run()
+        assert stats.to_dict() == unobserved.to_dict()
+
 
 class TestZeroOverheadDifferential:
     @pytest.mark.parametrize(

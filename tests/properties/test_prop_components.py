@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.config import CacheConfig, NetworkConfig, four_core
 from repro.arch.mesh import Mesh
 from repro.sim.caches import EXCLUSIVE, MODIFIED, SetAssocCache, SnoopBus
+from repro.sim.faults import FaultConfig, FaultPlan, _Channel
 from repro.sim.memory import MainMemory
 from repro.sim.network import OperandNetwork
 from repro.sim.tm import TransactionalMemory
@@ -168,3 +169,54 @@ class TestTMProperties:
 
         for addr in {a for _c, a, _s in accesses}:
             assert memory.load(addr) == serial.load(addr)
+
+
+#: Channel rates: the disabled and always-firing edges plus the range
+#: the chaos suite and the ledger use.
+rates = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.001, max_value=0.5)
+)
+
+
+def _channel(rate, seed):
+    plan = FaultPlan(FaultConfig(seed=seed))
+    return _Channel(plan, "stall-bus", rate, 8)
+
+
+def _fires(channel, probes):
+    return [
+        (channel.fire(), channel.fires, channel.injected_cycles)
+        for _ in range(probes)
+    ]
+
+
+class TestFaultCountdownProperties:
+    """The countdown arithmetic that lets fault runs fast-forward:
+    ``horizon`` is exact and ``skip`` is indistinguishable from the
+    zero-returning probes it replaces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rates, st.integers(0, 2**32), st.integers(1, 16),
+           st.integers(0, 500), st.integers(1, 64))
+    def test_skip_equals_the_probes_it_replaces(self, rate, seed, k, w, tail):
+        stepped, skipped = _channel(rate, seed), _channel(rate, seed)
+        w = min(w, stepped.horizon(k))  # k*w probes below the horizon
+        assert all(fired == 0 for fired, _, _ in _fires(stepped, k * w))
+        skipped.skip(k * w)
+        assert skipped.countdown == stepped.countdown
+        assert _fires(skipped, tail) == _fires(stepped, tail)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(min_value=0.002, max_value=1.0), st.integers(0, 2**32),
+           st.integers(1, 16))
+    def test_horizon_is_the_next_fire_cycle(self, rate, seed, k):
+        channel = _channel(rate, seed)
+        horizon = channel.horizon(k)
+        for _ in range(horizon):
+            assert all(fired == 0 for fired, _, _ in _fires(channel, k))
+        assert any(fired for fired, _, _ in _fires(channel, k))
+
+    @given(st.integers(0, 2**32))
+    def test_unprobed_and_disabled_channels_never_fire(self, seed):
+        assert _channel(0.5, seed).horizon(0) >= 1 << 60
+        assert _channel(0.0, seed).horizon(1) >= 1 << 60

@@ -196,12 +196,22 @@ class TestMachineIntegration:
         config = single_core() if n_cores == 1 else mesh(n_cores)
         return VoltronCompiler(bench.program).compile(strategy, config), config
 
-    def test_faults_disable_fast_forward(self):
+    def test_faults_keep_fast_forward(self):
         compiled, config = self._compiled("rawcaudio", 1, "baseline")
+        windows = []
+
+        class Windows:
+            def fast_forward_window(self, start, end):
+                windows.append((start, end))
+
         machine = VoltronMachine(
-            compiled, config, faults=FaultPlan(FaultConfig(seed=1))
+            compiled, config, faults=FaultPlan(FaultConfig(seed=1)),
+            obs=Windows(),
         )
-        assert machine.fast_forward is False
+        assert machine.fast_forward is True
+        machine.run()
+        assert machine.faults.injections() > 0
+        assert windows
 
     def test_plan_wired_into_every_subsystem(self):
         compiled, config = self._compiled("rawcaudio", 2, "tlp")

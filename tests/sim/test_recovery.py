@@ -127,7 +127,7 @@ class TestWiring:
         )
         assert isinstance(machine.recovery, RecoveryManager)
         assert machine.network.recovery is machine.recovery
-        assert machine.fast_forward is False
+        assert machine.fast_forward is True
 
     def test_timing_plan_leaves_recovery_detached(self):
         machine, _ = _machine("rawcaudio", 2, "tlp", profile="timing", seed=1)
