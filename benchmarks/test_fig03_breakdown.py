@@ -5,13 +5,13 @@ Paper: on average 30% of dynamic execution is best accelerated by ILP,
 with no single type dominating across benchmarks.
 """
 
-from repro.harness import arithmean, render_bar_breakdown
+from repro.harness import arithmean, figures, render_bar_breakdown
 
 COLUMNS = ("ilp", "tlp", "llp", "single")
 
 
 def test_fig3_parallelism_breakdown(benchmark, runner):
-    table = runner.fig3_breakdown()
+    table = figures.fig3_breakdown(runner)
     print()
     print(
         render_bar_breakdown(
@@ -37,5 +37,6 @@ def test_fig3_parallelism_breakdown(benchmark, runner):
 
     # Unit timed: one region-attribution pass over a cached runner.
     benchmark.pedantic(
-        runner.fig3_breakdown, rounds=1, iterations=1, warmup_rounds=0
+        lambda: figures.fig3_breakdown(runner),
+        rounds=1, iterations=1, warmup_rounds=0,
     )

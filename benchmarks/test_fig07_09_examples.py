@@ -7,6 +7,8 @@ filter loop 1.78x (coupled ILP).
 
 import pytest
 
+from repro.harness import figures
+
 PAPER = {
     "fig7_gsm_llp": 1.9,
     "fig8_gzip_strands": 1.2,
@@ -14,8 +16,8 @@ PAPER = {
 }
 
 
-def test_fig7_8_9_worked_examples(benchmark, runner):
-    measured = runner.figure7_9_examples()
+def test_fig7_8_9_worked_examples(benchmark):
+    measured = figures.figure7_9_examples()
     print()
     print(f"{'example':22s}{'paper':>8s}{'measured':>10s}")
     for label, paper_value in PAPER.items():
@@ -33,5 +35,5 @@ def test_fig7_8_9_worked_examples(benchmark, runner):
         assert measured[label] == pytest.approx(paper_value, rel=0.4)
 
     benchmark.pedantic(
-        runner.figure7_9_examples, rounds=1, iterations=1, warmup_rounds=0
+        figures.figure7_9_examples, rounds=1, iterations=1, warmup_rounds=0
     )

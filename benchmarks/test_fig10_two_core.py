@@ -4,13 +4,13 @@ Paper averages: ILP 1.23, fine-grain TLP 1.16, LLP 1.18; 12/25 benchmarks
 are best under ILP, 6 under fine-grain TLP, 7 under LLP.
 """
 
-from repro.harness import arithmean, render_table
+from repro.harness import arithmean, figures, render_table
 
 PAPER_AVG = {"ilp": 1.23, "tlp": 1.16, "llp": 1.18}
 
 
 def test_fig10_two_core_speedups(benchmark, runner, small_runner):
-    table = runner.fig10_11_speedups(2)
+    table = figures.fig10_11_speedups(runner, 2)
     print()
     print(
         render_table(

@@ -4,12 +4,12 @@ Paper averages: ILP 1.33, fine-grain TLP 1.23, LLP 1.37, with the gains
 from 2 to 4 cores largest for benchmarks that can use decoupled mode.
 """
 
-from repro.harness import arithmean, render_table
+from repro.harness import arithmean, figures, render_table
 
 
 def test_fig11_four_core_speedups(benchmark, runner):
-    two = runner.fig10_11_speedups(2)
-    four = runner.fig10_11_speedups(4)
+    two = figures.fig10_11_speedups(runner, 2)
+    four = figures.fig10_11_speedups(runner, 4)
     print()
     print(
         render_table(
@@ -40,6 +40,6 @@ def test_fig11_four_core_speedups(benchmark, runner):
         assert abs(avg4[strategy] - paper_value) < 0.3 * paper_value
 
     benchmark.pedantic(
-        lambda: runner.fig10_11_speedups(4), rounds=1, iterations=1,
-        warmup_rounds=0,
+        lambda: figures.fig10_11_speedups(runner, 4),
+        rounds=1, iterations=1, warmup_rounds=0,
     )

@@ -6,13 +6,13 @@ but pays extra receive-data, receive-predicate, and call/return
 synchronization stalls that coupled mode does not have.
 """
 
-from repro.harness import arithmean, render_table
+from repro.harness import arithmean, figures, render_table
 
 SHOWN = ("istall", "dstall", "recv_data", "recv_pred", "call_sync")
 
 
 def test_fig12_stall_breakdown(benchmark, runner):
-    table = runner.fig12_stalls(4)
+    table = figures.fig12_stalls(runner, 4)
     flat = {}
     for name, row in table.items():
         for mode in ("coupled", "decoupled"):
@@ -67,6 +67,6 @@ def test_fig12_stall_breakdown(benchmark, runner):
     )
 
     benchmark.pedantic(
-        lambda: runner.fig12_stalls(4), rounds=1, iterations=1,
-        warmup_rounds=0,
+        lambda: figures.fig12_stalls(runner, 4),
+        rounds=1, iterations=1, warmup_rounds=0,
     )

@@ -6,11 +6,11 @@ range 1.15-3.25 (average 1.83); hybrid execution beats every
 single-parallelism compilation on average.
 """
 
-from repro.harness import arithmean, render_table
+from repro.harness import arithmean, figures, render_table
 
 
 def test_fig13_hybrid_speedups(benchmark, runner):
-    hybrid = runner.fig13_hybrid()
+    hybrid = figures.fig13_hybrid(runner)
     table = {
         name: {"2-core": v[2], "4-core": v[4]} for name, v in hybrid.items()
     }
@@ -33,7 +33,7 @@ def test_fig13_hybrid_speedups(benchmark, runner):
     assert max(h4) > 2.8
     assert min(h4) > 0.95
     # Hybrid beats each individual strategy on average (the headline).
-    singles4 = runner.fig10_11_speedups(4)
+    singles4 = figures.fig10_11_speedups(runner, 4)
     for strategy in ("ilp", "tlp", "llp"):
         single_avg = arithmean([row[strategy] for row in singles4.values()])
         assert arithmean(h4) > single_avg
@@ -41,5 +41,6 @@ def test_fig13_hybrid_speedups(benchmark, runner):
     assert arithmean(h4) > arithmean(h2)
 
     benchmark.pedantic(
-        runner.fig13_hybrid, rounds=1, iterations=1, warmup_rounds=0
+        lambda: figures.fig13_hybrid(runner),
+        rounds=1, iterations=1, warmup_rounds=0,
     )

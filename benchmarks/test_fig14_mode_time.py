@@ -5,11 +5,11 @@ fine-grain TLP) lives almost entirely in decoupled mode, while mixed
 benchmarks such as cjpeg genuinely alternate.
 """
 
-from repro.harness import arithmean, render_bar_breakdown
+from repro.harness import arithmean, figures, render_bar_breakdown
 
 
 def test_fig14_mode_time(benchmark, runner):
-    table = runner.fig14_mode_time(4)
+    table = figures.fig14_mode_time(runner, 4)
     print()
     print(
         render_bar_breakdown(
@@ -30,6 +30,6 @@ def test_fig14_mode_time(benchmark, runner):
         assert abs(row["coupled"] + row["decoupled"] - 1.0) < 1e-9
 
     benchmark.pedantic(
-        lambda: runner.fig14_mode_time(4), rounds=1, iterations=1,
-        warmup_rounds=0,
+        lambda: figures.fig14_mode_time(runner, 4),
+        rounds=1, iterations=1, warmup_rounds=0,
     )

@@ -51,7 +51,7 @@ def main(path="EXPERIMENTS.md"):
     )
 
     # ---- Figures 7-9 ----
-    examples = runner.figure7_9_examples()
+    examples = api.run_figure("7-9", runner=runner)
     out.append("## Figures 7-9 — worked loop examples (2 cores)\n")
     rows = [
         (label, fmt(PAPER_FIG79[label]), fmt(examples[label]))
@@ -65,7 +65,7 @@ def main(path="EXPERIMENTS.md"):
     )
 
     # ---- Figure 3 ----
-    fig3 = runner.fig3_breakdown()
+    fig3 = api.run_figure("3", runner=runner)
     avg3 = {
         c: arithmean([row[c] for row in fig3.values()])
         for c in ("ilp", "tlp", "llp", "single")
@@ -97,11 +97,11 @@ def main(path="EXPERIMENTS.md"):
     )
 
     # ---- Figures 10/11 ----
-    for n_cores, paper_avg, fig_name in (
-        (2, PAPER_FIG10, "Figure 10"),
-        (4, PAPER_FIG11, "Figure 11"),
+    for figure, n_cores, paper_avg, fig_name in (
+        ("10", 2, PAPER_FIG10, "Figure 10"),
+        ("11", 4, PAPER_FIG11, "Figure 11"),
     ):
-        table = runner.fig10_11_speedups(n_cores)
+        table = api.run_figure(figure, runner=runner)
         averages = {
             s: arithmean([row[s] for row in table.values()])
             for s in ("ilp", "tlp", "llp")
@@ -133,7 +133,7 @@ def main(path="EXPERIMENTS.md"):
         out.append("")
 
     # ---- Figure 12 ----
-    fig12 = runner.fig12_stalls(4)
+    fig12 = api.run_figure("12", runner=runner)
     out.append("## Figure 12 — stall breakdown, coupled vs decoupled (4 cores)\n")
     shown = ("istall", "dstall", "recv_data", "recv_pred", "call_sync")
     rows = []
@@ -165,7 +165,7 @@ def main(path="EXPERIMENTS.md"):
     )
 
     # ---- Figure 13 ----
-    hybrid = runner.fig13_hybrid()
+    hybrid = api.run_figure("13", runner=runner)
     h2 = [v[2] for v in hybrid.values()]
     h4 = [v[4] for v in hybrid.values()]
     out.append("## Figure 13 — hybrid (dual-mode) speedups\n")
@@ -184,7 +184,7 @@ def main(path="EXPERIMENTS.md"):
     )
 
     # ---- Figure 14 ----
-    fig14 = runner.fig14_mode_time(4)
+    fig14 = api.run_figure("14", runner=runner)
     out.append("## Figure 14 — time in each execution mode (hybrid, 4 cores)\n")
     rows = [
         (
@@ -203,7 +203,7 @@ def main(path="EXPERIMENTS.md"):
     )
 
     # ---- Scaling beyond the paper's grid ----
-    scaling = runner.fig_scaling((4, 16, 32))
+    scaling = api.run_figure("scaling", runner=runner)
     strategies = ("ilp", "tlp", "llp", "hybrid")
     out.append("## Scaling beyond the paper's grid — 16/32-core meshes\n")
     out.append(

@@ -87,9 +87,9 @@ def time_driver_sequence() -> float:
         with tempfile.TemporaryDirectory() as cache_dir:
             start = time.perf_counter()
             first = api.session(SUBSET, cache_dir=cache_dir)
-            first.fig10_11_speedups(2)
+            api.run_figure("10", runner=first)
             second = api.session(SUBSET, cache_dir=cache_dir)
-            second.fig10_11_speedups(4)
+            api.run_figure("11", runner=second)
             return time.perf_counter() - start
 
     return _min_of(once)

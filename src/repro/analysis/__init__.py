@@ -11,14 +11,16 @@ proves those properties -- statically over a :class:`CompiledProgram`
 Entry points:
 
 * ``repro.api.verify_benchmark(...)`` -- one benchmark cell.
+* :func:`verify_cell` -- one compiled cell, static and optionally
+  dynamic (:func:`run_sanitized`).
 * ``python -m repro.harness.cli verify`` -- the whole grid, CI-style.
 """
 
 from .findings import Finding, VerificationReport, merge_reports
 from .mutate import MUTATIONS, MutationRecord, apply_mutation
 from .oracle import OracleVerdict, check_benchmark, check_program
-from .sanitizer import RaceSanitizer
-from .verifier import ProgramVerifier, verify_compiled
+from .sanitizer import RaceSanitizer, run_sanitized
+from .verifier import ProgramVerifier, verify_cell, verify_compiled
 
 __all__ = [
     "Finding",
@@ -32,5 +34,7 @@ __all__ = [
     "check_benchmark",
     "check_program",
     "merge_reports",
+    "run_sanitized",
+    "verify_cell",
     "verify_compiled",
 ]

@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..arch.config import mesh, single_core
+from ..arch.config import mesh
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.program import Program
-from ..sim.machine import VoltronMachine
-from .sanitizer import RaceSanitizer
+from .findings import Finding
+from .sanitizer import run_sanitized
 from .verifier import verify_compiled
 
 #: Cells the oracle checks by default: the static pass sweeps every
@@ -92,62 +92,46 @@ def check_program(
     the shrinker driving it) still has teeth.
     """
     compiler = VoltronCompiler(program)
-    checked_static = 0
-    for cores, strategy in static_cells:
-        config = single_core() if cores == 1 else mesh(cores)
+    checked_static = checked_dynamic = 0
+
+    def compile_cell(cores: int, strategy: str):
+        config = mesh(cores)
         compiled = compiler.compile(strategy, config)
         if mutate is not None:
             mutate(compiled)
+        return compiled, config
+
+    def failed(stage: str, cell: Tuple[int, str], detail: str) -> OracleVerdict:
+        return OracleVerdict(
+            ok=False,
+            stage=stage,
+            cell=tuple(cell),
+            detail=detail,
+            static_cells=checked_static,
+            dynamic_cells=checked_dynamic,
+        )
+
+    for cell in static_cells:
+        compiled, config = compile_cell(*cell)
         report = verify_compiled(compiled, config)
         checked_static += 1
         if not report.ok:
-            findings = [f for f in report.findings if not f.suppressed]
-            return OracleVerdict(
-                ok=False,
-                stage="static",
-                cell=(cores, strategy),
-                detail="; ".join(
-                    f"{f.kind} in {f.function}:{f.block}" for f in findings[:3]
-                ),
-                static_cells=checked_static,
-            )
+            return failed("static", cell, _summary(report.active_findings()))
 
     reference = run_program(program)
     expected = {
         name: reference.array_values(program, name) for name in outputs
     }
-    checked_dynamic = 0
-    for cores, strategy in dynamic_cells:
-        config = single_core() if cores == 1 else mesh(cores)
-        compiled = compiler.compile(strategy, config)
-        if mutate is not None:
-            mutate(compiled)
-        sanitizer = RaceSanitizer()
-        machine = VoltronMachine(
-            compiled, config, max_cycles=max_cycles, obs=sanitizer
-        )
-        machine.run()
+    for cell in dynamic_cells:
+        compiled, config = compile_cell(*cell)
+        machine, findings = run_sanitized(compiled, config, max_cycles)
         checked_dynamic += 1
-        races = [f for f in sanitizer.findings if not f.suppressed]
+        races = [f for f in findings if f.kind != "message-leak"]
         if races:
-            return OracleVerdict(
-                ok=False,
-                stage="dynamic",
-                cell=(cores, strategy),
-                detail="; ".join(
-                    f"{f.kind} in {f.function}:{f.block}" for f in races[:3]
-                ),
-                static_cells=checked_static,
-                dynamic_cells=checked_dynamic,
-            )
-        if not machine.network.quiescent():
-            return OracleVerdict(
-                ok=False,
-                stage="dynamic",
-                cell=(cores, strategy),
-                detail="messages still queued or in flight after halt",
-                static_cells=checked_static,
-                dynamic_cells=checked_dynamic,
+            return failed("dynamic", cell, _summary(races))
+        if findings:
+            return failed(
+                "dynamic", cell, "messages still queued or in flight after halt"
             )
         mismatched: List[str] = [
             name
@@ -155,22 +139,22 @@ def check_program(
             if machine.array_values(name) != values
         ]
         if mismatched:
-            return OracleVerdict(
-                ok=False,
-                stage="bit-identity",
-                cell=(cores, strategy),
-                detail=(
-                    "final memory diverged from the reference interpreter "
-                    f"in array(s): {', '.join(mismatched)}"
-                ),
-                static_cells=checked_static,
-                dynamic_cells=checked_dynamic,
+            return failed(
+                "bit-identity",
+                cell,
+                "final memory diverged from the reference interpreter "
+                f"in array(s): {', '.join(mismatched)}",
             )
     return OracleVerdict(
         ok=True,
         static_cells=checked_static,
         dynamic_cells=checked_dynamic,
     )
+
+
+def _summary(findings: Sequence[Finding]) -> str:
+    """The first three findings, as the shrinker's failure detail."""
+    return "; ".join(f"{f.kind} in {f.function}:{f.block}" for f in findings[:3])
 
 
 def check_benchmark(bench, **kwargs) -> OracleVerdict:

@@ -31,6 +31,10 @@ event                                              emitted by
 ``mode_switch(cycle, old, new)``                   the machine's cycle loop
 =================================================  =================================================
 
+:func:`run_sanitized` runs a compiled cell under the sanitizer and adds
+the halt-time ``message-leak`` check; the API, ``cli verify --dynamic``
+and the fuzzing oracle all go through it.
+
 Every other site stays a single ``is None`` check, and the sanitizer
 only *reads* machine state -- a sanitized run is bit-identical in final
 memory and MachineStats to a plain run (asserted by the differential
@@ -43,7 +47,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..arch.config import MachineConfig
+from ..isa.machinecode import CompiledProgram
 from ..isa.operations import Operation
+from ..sim.machine import VoltronMachine
 
 from .findings import Finding
 
@@ -221,3 +228,36 @@ class RaceSanitizer:
             "dropped": self.dropped,
             "checked_accesses": self.checked_accesses,
         }
+
+
+def run_sanitized(
+    compiled: CompiledProgram,
+    config: MachineConfig,
+    max_cycles: int = 50_000_000,
+) -> Tuple[VoltronMachine, List[Finding]]:
+    """Execute one compiled cell under a :class:`RaceSanitizer`.
+
+    Returns the halted machine (its ``obs`` is the sanitizer) and every
+    dynamic finding: the races, then one ``message-leak`` when messages
+    are still queued or in flight after halt (an orphaned SEND reached
+    the network).  Nothing is suppressed here; callers apply their own
+    suppressions."""
+    sanitizer = RaceSanitizer()
+    machine = VoltronMachine(
+        compiled, config, max_cycles=max_cycles, obs=sanitizer
+    )
+    machine.run()
+    findings = list(sanitizer.findings)
+    if not machine.network.quiescent():
+        findings.append(
+            Finding(
+                kind="message-leak",
+                function="<machine>",
+                block="<halt>",
+                region=0,
+                core=None,
+                message="messages still queued or in flight after halt "
+                "(orphaned SEND reached the network)",
+            )
+        )
+    return machine, findings

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..arch.config import MachineConfig, mesh, single_core
+from ..arch.config import MachineConfig, mesh
 from ..arch.mesh import Mesh, opposite
 from ..compiler.dependence import (
     ConstantTracker,
@@ -54,6 +54,7 @@ from ..isa.machinecode import CompiledProgram, CoreBlock
 from ..isa.operations import Opcode, Operation, Reg
 
 from .findings import Finding, VerificationReport, match_suppression
+from .sanitizer import run_sanitized
 
 _QUEUE_OPS = (Opcode.SEND, Opcode.RECV)
 _WIRE_OPS = (Opcode.PUT, Opcode.GET, Opcode.BCAST)
@@ -128,9 +129,7 @@ class ProgramVerifier:
         suppressions: Sequence[str] = (),
     ) -> None:
         if config is None:
-            config = (
-                single_core() if compiled.n_cores == 1 else mesh(compiled.n_cores)
-            )
+            config = mesh(compiled.n_cores)
         self.compiled = compiled
         self.program = compiled.program
         self.n_cores = compiled.n_cores
@@ -915,3 +914,24 @@ def verify_compiled(
 ) -> VerificationReport:
     """Run every static check over ``compiled``; returns the report."""
     return ProgramVerifier(compiled, config, suppressions).verify()
+
+
+def verify_cell(
+    compiled: CompiledProgram,
+    config: MachineConfig,
+    suppressions: Sequence[str] = (),
+    *,
+    dynamic: bool = False,
+    max_cycles: int = 50_000_000,
+) -> VerificationReport:
+    """Verify one compiled cell statically and, with ``dynamic=True``,
+    by executing it under the race sanitizer (:func:`run_sanitized`);
+    the dynamic findings join the same report, suppressions applied."""
+    report = verify_compiled(compiled, config, suppressions)
+    if dynamic:
+        machine, findings = run_sanitized(compiled, config, max_cycles)
+        report.count("dynamic_accesses", machine.obs.checked_accesses)
+        for finding in findings:
+            finding.suppressed = match_suppression(finding, suppressions)
+            report.add(finding)
+    return report

@@ -30,6 +30,12 @@ Sessions run their pool work under one liveness rule: ``cell_timeout``
 seconds per cell, counted from the moment a worker task is submitted.
 Overdue or crashed work is retried with exponential backoff, then re-run
 serially in-process.
+
+The facade re-implements none of the harness: :func:`run_figure` looks
+its figure up in the one figure table
+(:data:`repro.harness.figures.FIGURES`, which ``cli figure`` renders),
+and :func:`verify_benchmark` runs the same static and dynamic checks as
+``cli verify`` (:func:`repro.analysis.verify_cell`).
 """
 
 from __future__ import annotations
@@ -44,15 +50,17 @@ from .arch.config import (
 )
 from .arch.config import list_presets as _arch_list_presets
 from .compiler.driver import VoltronCompiler
+from .harness import figures
 from .harness.experiments import ExperimentRunner, RunResult
 from .sim.faults import FaultConfig
 from .workloads.generator import GenKnobs, generate_handles, make_handle
 from .workloads.suite import BENCHMARKS, build
 
-#: Figure identifiers accepted by :func:`run_figure`.  ``"3"``-``"14"``
-#: reproduce the paper; ``"scaling"`` is this repo's extension column
-#: set (speedups at 4/16/32 cores for every strategy).
-FIGURES = ("3", "7-9", "10", "11", "12", "13", "14", "scaling")
+#: Figure identifiers accepted by :func:`run_figure`, in table order
+#: (:data:`repro.harness.figures.FIGURES`).  ``"3"``-``"14"`` reproduce
+#: the paper; ``"scaling"`` is this repo's extension column set
+#: (speedups at 4/16/32 cores for every strategy).
+FIGURES = tuple(figures.FIGURES)
 
 def list_presets() -> List[str]:
     """Names accepted wherever ``machine=`` takes a preset string:
@@ -141,39 +149,14 @@ def verify_benchmark(
     ``suppressions`` entries name findings to tolerate, as ``kind``,
     ``kind:function``, or ``kind:function:block``.
     """
-    from .analysis import RaceSanitizer, verify_compiled
-    from .analysis.findings import Finding, match_suppression
+    from .analysis import verify_cell
 
     config = resolve_machine(machine)
-    bench = build(benchmark, seed)
-    compiled = VoltronCompiler(bench.program).compile(strategy, config)
-    report = verify_compiled(compiled, config, suppressions)
+    compiled = compile_benchmark(benchmark, config, strategy, seed=seed)
+    report = verify_cell(
+        compiled, config, suppressions, dynamic=dynamic, max_cycles=max_cycles
+    )
     report.benchmark = benchmark
-    report.strategy = strategy
-    if dynamic:
-        from .sim.machine import VoltronMachine
-
-        sanitizer = RaceSanitizer()
-        machine = VoltronMachine(
-            compiled, config, max_cycles=max_cycles, obs=sanitizer
-        )
-        machine.run()
-        report.count("dynamic_accesses", sanitizer.checked_accesses)
-        for finding in sanitizer.findings:
-            finding.suppressed = match_suppression(finding, suppressions)
-            report.add(finding)
-        if not machine.network.quiescent():
-            leak = Finding(
-                kind="message-leak",
-                function="<machine>",
-                block="<halt>",
-                region=0,
-                core=None,
-                message="messages still queued or in flight after halt "
-                "(orphaned SEND reached the network)",
-            )
-            leak.suppressed = match_suppression(leak, suppressions)
-            report.add(leak)
     return report
 
 
@@ -289,9 +272,9 @@ def run_figure(
     """Reproduce one paper figure; returns its data table.
 
     ``figure`` is one of :data:`FIGURES`.  ``machine`` overrides the
-    figure's default core count where it has one (figures 3, 12, 13, 14,
-    scaling; 10 and 11 fix their own) and applies the spec's non-default
-    machine knobs (coherence, queue policy, ...) to every cell.  Pass an
+    figure's default core counts unless the figure fixes them (7-9, 10
+    and 11) and applies the spec's non-default machine knobs
+    (coherence, queue policy, ...) to every cell.  Pass an
     existing ``runner`` (from :func:`session`) to share builds and cache
     across several figures -- hand the machine spec to the session in
     that case.  ``journal=``/``resume=`` make the figure run crash-safe
@@ -300,14 +283,10 @@ def run_figure(
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
     config = resolve_machine(machine) if machine is not None else None
-    overrides = (
-        machine_overrides(config, include_shape=False)
-        if config is not None
-        else {}
-    )
     if runner is None:
         runner = session(
             benchmarks,
+            machine=config,
             seed=seed,
             cache_dir=cache_dir,
             jobs=jobs,
@@ -315,29 +294,15 @@ def run_figure(
             faults=faults,
             journal=journal,
             resume=resume,
-            config_overrides=overrides or None,
         )
-    elif overrides:
+    elif config is not None and machine_overrides(config, include_shape=False):
         raise ValueError(
             "this machine spec carries config overrides; pass machine= "
             "to session() instead when sharing a runner across figures"
         )
-    n = config.n_cores if config is not None else None
-    if figure == "3":
-        return runner.fig3_breakdown(n if n is not None else 4)
-    if figure == "7-9":
-        return runner.figure7_9_examples()
-    if figure == "10":
-        return runner.fig10_11_speedups(2)
-    if figure == "11":
-        return runner.fig10_11_speedups(4)
-    if figure == "12":
-        return runner.fig12_stalls(n if n is not None else 4)
-    if figure == "13":
-        return runner.fig13_hybrid((n,) if n is not None else (2, 4))
-    if figure == "scaling":
-        return runner.fig_scaling((n,) if n is not None else (4, 16, 32))
-    return runner.fig14_mode_time(n if n is not None else 4)
+    return figures.figure_table(
+        figure, runner, config.n_cores if config is not None else None
+    )
 
 
 def sweep(

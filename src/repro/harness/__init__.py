@@ -1,4 +1,4 @@
-"""Experiment harness regenerating the paper's figures."""
+"""Experiment harness: the cell engine, the figure table, and the CLI."""
 
 from .cache import (
     CACHE_VERSION,
@@ -12,8 +12,6 @@ from .experiments import (
     FailureSummary,
     RunResult,
     SINGLE_STRATEGIES,
-    arithmean,
-    geomean,
 )
 from .journal import (
     JOURNAL_VERSION,
@@ -23,6 +21,8 @@ from .journal import (
     read_journal,
 )
 from .reporting import (
+    arithmean,
+    geomean,
     render_bar_breakdown,
     render_cache_line,
     render_failure_line,

@@ -91,14 +91,28 @@ def reference_key(program: Program) -> str:
     return digest.hexdigest()
 
 
+def fsync_path(path: Path) -> None:
+    """fsync a file or directory by path, so a just-written file or a
+    just-created/renamed directory entry survives power loss.  Best
+    effort: some platforms/filesystems refuse to open or fsync a
+    directory, and durability there degrades gracefully."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 class ResultCache:
     """A directory of JSON run results, keyed by content hash."""
 
-    def __init__(self, root: Path, durable: bool = True) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        #: fsync file + directory on every store (the crash-safety
-        #: contract).  Off only for throughput-sensitive tests.
-        self.durable = durable
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
@@ -148,32 +162,15 @@ class ResultCache:
             with os.fdopen(fd, "w") as handle:
                 json.dump(envelope, handle)
                 handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
             os.replace(tmp, self._path(key))
-            if self.durable:
-                self._fsync_root()
+            fsync_path(self.root)
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
-
-    def _fsync_root(self) -> None:
-        """fsync the cache directory so a just-renamed entry's name is
-        durable too.  Best effort: some platforms/filesystems refuse
-        directory fsync, and durability there degrades gracefully."""
-        try:
-            dir_fd = os.open(self.root, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
 
     def _quarantine(self, path: Path) -> None:
         """Rename a bad entry to ``<name>.corrupt`` (unlink if the rename

@@ -25,6 +25,11 @@ holes) or a preset name from ``repro.list_presets()`` such as
 takes a list of them.  (``verify --cores`` is not a machine spelling:
 it filters the core counts to verify.)
 
+``figure`` prints one entry of the figure table
+(:data:`repro.harness.figures.FIGURES`), the same entry
+``repro.run_figure`` computes; ``--machine`` replaces the figure's core
+counts unless the figure fixes them (7-9, 10 and 11).
+
 ``sweep`` crosses machine-design axes (mesh size, coherence protocol,
 operand-queue policy and depth, queue-mode hop latency, memory latency,
 TM commit budget) against the selected workloads through the cached
@@ -50,10 +55,10 @@ kill, ``--resume FILE`` replays the journal against the result cache
 and re-dispatches only the cells without a durable ``completed``
 record -- the resumed output is identical to an uninterrupted run's.
 
-``--faults`` turns on deterministic fault injection (chaos mode): every
-simulation runs under a seeded fault plan (``--fault-seed``,
-``--fault-rate``) that perturbs timing while the harness still checks
-outputs against the reference interpreter.  ``--fault-profile`` selects
+``--faults`` (``run`` and ``figure`` only) turns on deterministic fault
+injection (chaos mode): every simulation runs under a seeded fault plan
+(``--fault-seed``, ``--fault-rate``) that perturbs timing while the
+harness still checks outputs against the reference interpreter.  ``--fault-profile`` selects
 which fault families are armed: ``timing`` (the default delay-only
 channels), ``destructive`` (corrupted/dropped messages and core
 blackouts, repaired by the architectural recovery layer --
@@ -70,35 +75,34 @@ the reconciled per-mode timeline.  Profiled runs always simulate fresh
 every compiled cell in the grid -- channel balance, DVLIW alignment,
 memory-sync coverage, mode barriers, TM brackets -- and exits 1 on any
 unsuppressed finding; ``--dynamic`` additionally executes each cell
-under the happens-before race sanitizer, ``--report FILE`` writes the
-merged findings document CI uploads, and ``--suppress
+under the happens-before race sanitizer and reports a ``message-leak``
+when the network is not quiescent at halt (the same check as
+``repro.verify_benchmark(..., dynamic=True)``), ``--report FILE``
+writes the merged findings document CI uploads, and ``--suppress
 kind[:function[:block]]`` tolerates known findings.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional, Sequence
 
 from .. import api
-from ..arch.config import MachineConfig, resolve_machine
+from ..arch.config import apply_overrides, resolve_machine
 from ..sim.faults import FAULT_PROFILES, FaultConfig
 from ..sim.stats import STALL_CATEGORIES
 from ..workloads.generator import generate_handles, is_generated, parse_handle
 from ..workloads.suite import BENCHMARKS
-from .experiments import SINGLE_STRATEGIES
+from .figures import render_figure
 from .journal import flush_on_signals
 from .reporting import (
-    render_bar_breakdown,
     render_cache_line,
     render_failure_line,
     render_fault_line,
     render_journal_line,
     render_recovery_line,
-    render_table,
 )
 
 FIGURES = api.FIGURES
@@ -126,14 +130,17 @@ def _add_machine_option(subparser: argparse.ArgumentParser, help_tail="") -> Non
     )
 
 
-def _resolve_machine_flag(args, out) -> Optional[MachineConfig]:
-    """Resolve --machine (default 4 cores) to a MachineConfig, or None
-    on error (already reported)."""
+def _resolve_machine_flag(args, out) -> bool:
+    """Resolve --machine in place to a MachineConfig (None stays None:
+    each command has its own default); False on a bad spec (reported)."""
+    if getattr(args, "machine", None) is None:
+        return True
     try:
-        return resolve_machine(args.machine if args.machine is not None else 4)
+        args.machine = resolve_machine(args.machine)
     except (TypeError, ValueError) as error:
         print(f"bad --machine spec: {error}", file=out)
-        return None
+        return False
+    return True
 
 
 def _add_runner_options(subparser: argparse.ArgumentParser) -> None:
@@ -178,6 +185,9 @@ def _add_runner_options(subparser: argparse.ArgumentParser) -> None:
         "against the result cache, re-dispatch only cells without a "
         "durable completed record, and keep journaling to FILE",
     )
+
+
+def _add_fault_options(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--faults",
         action="store_true",
@@ -299,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="metrics-series sampling period in cycles (default 64)",
     )
     _add_runner_options(run)
+    _add_fault_options(run)
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
     figure.add_argument("--figure", required=True, choices=FIGURES)
@@ -315,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and applies the spec's machine knobs to every cell",
     )
     _add_runner_options(figure)
+    _add_fault_options(figure)
 
     sweep = sub.add_parser(
         "sweep",
@@ -418,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="Pareto/sweep JSON artifact path (default sweep.json)",
     )
+    # No fault flags: a chaos sweep would fold fault timing noise into
+    # every Pareto point.
     _add_runner_options(sweep)
 
     verify = sub.add_parser(
@@ -517,17 +531,9 @@ def _cmd_list(args, out) -> int:
 def _cmd_run(args, out) -> int:
     if not _check_workloads([args.benchmark], out):
         return 2
-    machine = _resolve_machine_flag(args, out)
-    if machine is None:
-        return 2
-    policy = getattr(args, "queue_policy", None)
-    if policy is not None and policy != machine.network.queue_policy:
-        machine = dataclasses.replace(
-            machine,
-            network=dataclasses.replace(
-                machine.network, queue_policy=policy
-            ),
-        )
+    machine = args.machine if args.machine is not None else resolve_machine(4)
+    if args.queue_policy is not None:
+        machine = apply_overrides(machine, {"queue_policy": args.queue_policy})
     obs = None
     if args.trace_out or args.metrics_out:
         from ..obs import Observability, ObsConfig
@@ -561,17 +567,7 @@ def _cmd_run(args, out) -> int:
     print(f"txns      : {stats.tx_commits} commits, {stats.tx_aborts} "
           f"aborts; {stats.spawns} spawns", file=out)
     print("correct   : outputs match the reference interpreter", file=out)
-    print(render_cache_line(runner), file=out)
-    fault_line = render_fault_line(runner)
-    if fault_line:
-        print(fault_line, file=out)
-    recovery_line = render_recovery_line(runner)
-    if recovery_line:
-        print(recovery_line, file=out)
-    print(render_failure_line(runner), file=out)
-    journal_line = render_journal_line(runner)
-    if journal_line:
-        print(journal_line, file=out)
+    _print_session_lines(runner, out)
     if args.stalls:
         for category in STALL_CATEGORIES:
             mean = stats.mean_stalls(category)
@@ -596,11 +592,6 @@ def _cmd_run(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     from .sweep import render_frontiers
 
-    if args.faults:
-        # A chaos sweep would fold fault timing noise into every Pareto
-        # point; keep the design-space story clean.
-        print("sweep does not support --faults", file=out)
-        return 2
     workloads = list(args.workloads)
     if args.generated:
         workloads.extend(generate_handles(args.generated, args.gen_seed))
@@ -656,116 +647,35 @@ def _cmd_sweep(args, out) -> int:
 def _cmd_figure(args, out) -> int:
     if args.benchmarks and not _check_workloads(args.benchmarks, out):
         return 2
-    machine = None
-    if args.machine is not None:
-        try:
-            machine = resolve_machine(args.machine)
-        except (TypeError, ValueError) as error:
-            print(f"bad --machine spec: {error}", file=out)
-            return 2
-    runner = _make_runner(args, args.benchmarks, machine=machine)
+    runner = _make_runner(args, args.benchmarks, machine=args.machine)
     try:
         with flush_on_signals(runner.journal):
-            _render_figure(
-                runner,
+            text = render_figure(
                 args.figure,
-                out,
-                machine.n_cores if machine is not None else None,
+                runner,
+                args.machine.n_cores if args.machine is not None else None,
             )
     finally:
         runner.close_journal()
-    print(render_cache_line(runner), file=out)
-    fault_line = render_fault_line(runner)
-    if fault_line:
-        print(fault_line, file=out)
-    recovery_line = render_recovery_line(runner)
-    if recovery_line:
-        print(recovery_line, file=out)
-    print(render_failure_line(runner), file=out)
-    journal_line = render_journal_line(runner)
-    if journal_line:
-        print(journal_line, file=out)
+    print(text, file=out)
+    _print_session_lines(runner, out)
     return 0
 
 
-def _render_figure(runner, figure, out, n=None) -> None:
-    if figure == "3":
-        print(
-            render_bar_breakdown(
-                f"Figure 3: parallelism breakdown ({n or 4} cores)",
-                runner.fig3_breakdown(n or 4),
-                columns=("ilp", "tlp", "llp", "single"),
-            ),
-            file=out,
-        )
-    elif figure == "7-9":
-        for label, value in runner.figure7_9_examples().items():
-            print(f"{label:22s} {value:.2f}x", file=out)
-    elif figure in ("10", "11"):
-        n_cores = 2 if figure == "10" else 4
-        print(
-            render_table(
-                f"Figure {figure}: {n_cores}-core speedups per type",
-                runner.fig10_11_speedups(n_cores),
-                columns=SINGLE_STRATEGIES,
-            ),
-            file=out,
-        )
-    elif figure == "12":
-        table = runner.fig12_stalls(n)
-        flat = {
-            f"{name} [{mode[:3]}]": row[mode]
-            for name, row in table.items()
-            for mode in ("coupled", "decoupled")
-        }
-        print(
-            render_table(
-                f"Figure 12: stalls / serial time ({n or 4} cores)",
-                flat,
-                columns=("istall", "dstall", "recv_data", "recv_pred",
-                         "call_sync"),
-                fmt="{:.3f}",
-                average_row=False,
-            ),
-            file=out,
-        )
-    elif figure == "13":
-        counts = (n,) if n is not None else (2, 4)
-        hybrid = runner.fig13_hybrid(counts)
-        print(
-            render_table(
-                "Figure 13: hybrid speedups",
-                {
-                    name: {f"{c}core": row[c] for c in counts}
-                    for name, row in hybrid.items()
-                },
-                columns=tuple(f"{c}core" for c in counts),
-            ),
-            file=out,
-        )
-    elif figure == "scaling":
-        counts = (n,) if n is not None else (4, 16, 32)
-        table = runner.fig_scaling(counts)
-        strategies = SINGLE_STRATEGIES + ("hybrid",)
-        for count in counts:
-            print(
-                render_table(
-                    f"Scaling: {count}-core speedups per strategy",
-                    {name: row[count] for name, row in table.items()},
-                    columns=strategies,
-                ),
-                file=out,
-            )
-    elif figure == "14":
-        print(
-            render_bar_breakdown(
-                f"Figure 14: time per execution mode (hybrid, {n or 4} "
-                "cores)",
-                runner.fig14_mode_time(n),
-                columns=("coupled", "decoupled"),
-            ),
-            file=out,
-        )
+def _print_session_lines(runner, out) -> None:
+    """The report lines every run/figure command ends with: cache
+    traffic, faults, recovery, failures and journal (the optional ones
+    only when they have something to say)."""
+    lines = [
+        render_cache_line(runner),
+        render_fault_line(runner),
+        render_recovery_line(runner),
+        render_failure_line(runner),
+        render_journal_line(runner),
+    ]
+    for line in lines:
+        if line:
+            print(line, file=out)
 
 
 def _verify_grid(args, machine=None) -> List[tuple]:
@@ -793,63 +703,33 @@ def _verify_grid(args, machine=None) -> List[tuple]:
 
 
 def _cmd_verify(args, out) -> int:
-    from ..analysis import merge_reports, verify_compiled
-    from ..arch.config import (
-        apply_overrides,
-        machine_overrides,
-        mesh,
-        single_core,
-    )
-    from ..compiler.driver import VoltronCompiler
-    from ..workloads.suite import build
+    from ..analysis import merge_reports, verify_cell
 
     names = list(args.benchmarks or BENCHMARKS)
     if not _check_workloads(names, out):
         return 2
-    machine = None
-    if args.machine is not None:
-        try:
-            machine = resolve_machine(args.machine)
-        except (TypeError, ValueError) as error:
-            print(f"bad --machine spec: {error}", file=out)
-            return 2
-    overrides = (
-        machine_overrides(machine, include_shape=False) if machine else {}
-    )
-    grid = _verify_grid(args, machine)
+    grid = _verify_grid(args, args.machine)
+    # A session supplies the builds, one compiler per benchmark (the
+    # profile is computed once and shared by every cell), and each
+    # cell's machine config with --machine's knobs applied.
+    runner = api.session(names, machine=args.machine)
     reports = []
     failed = 0
     for name in names:
-        bench = build(name)
-        # One compiler per benchmark: the profile is computed once and
-        # shared by every cell.
-        compiler = VoltronCompiler(bench.program)
         for cores, strategy in grid:
-            config = single_core() if cores == 1 else mesh(cores)
-            config = apply_overrides(config, overrides)
-            compiled = compiler.compile(strategy, config)
-            report = verify_compiled(compiled, config, args.suppress)
+            config = runner.machine_config(cores)
+            compiled = runner.compiler(name).compile(strategy, config)
+            report = verify_cell(
+                compiled,
+                config,
+                args.suppress,
+                dynamic=args.dynamic,
+                max_cycles=runner.max_cycles,
+            )
             report.benchmark = name
-            report.strategy = strategy
-            if args.dynamic:
-                from ..analysis import RaceSanitizer
-                from ..analysis.findings import match_suppression
-                from ..sim.machine import VoltronMachine
-
-                sanitizer = RaceSanitizer()
-                machine = VoltronMachine(compiled, config, obs=sanitizer)
-                machine.run()
-                report.count("dynamic_accesses", sanitizer.checked_accesses)
-                for finding in sanitizer.findings:
-                    finding.suppressed = match_suppression(
-                        finding, args.suppress
-                    )
-                    report.add(finding)
             reports.append(report)
-            if not report.ok:
-                failed += 1
-                print(report.render(), file=out)
-            elif args.verbose:
+            failed += not report.ok
+            if args.verbose or not report.ok:
                 print(report.render(), file=out)
     document = merge_reports(reports)
     checks = "static" + (" + dynamic" if args.dynamic else "")
@@ -869,6 +749,8 @@ def _cmd_verify(args, out) -> int:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    if not _resolve_machine_flag(args, out):
+        return 2
     try:
         if args.command == "list":
             return _cmd_list(args, out)

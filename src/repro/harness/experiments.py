@@ -1,18 +1,21 @@
-"""Experiment drivers: one entry point per paper figure.
+"""The cell engine: build, compile, simulate, check, and cache cells.
 
-Every simulation is functionally checked against the reference
-interpreter (a run with wrong output arrays is a harness failure, not a
-data point).  Results are memoized per (benchmark, cores, strategy) so
-the figure drivers can share runs.
+A cell is one (benchmark, cores, strategy) simulation.  Every cell is
+functionally checked against the reference interpreter (a run with
+wrong output arrays is a harness failure, not a data point), and
+results are memoized per cell so several figures can share runs.  The
+figures themselves are functions over a runner
+(:mod:`repro.harness.figures`); this module only runs cells, through
+:meth:`ExperimentRunner.run` and :meth:`ExperimentRunner.prefetch`.
 
 Two optional layers speed up suite-scale experiments:
 
 * ``cache_dir`` enables the on-disk :class:`~repro.harness.cache.ResultCache`
   (content-hash keyed, stable across processes), so repeated figure runs
   re-simulate only what changed;
-* ``jobs > 1`` fans independent (benchmark, cores, strategy) cells out to
-  a ``ProcessPoolExecutor``; every figure driver prefetches its cell list
-  through the pool before assembling the table.
+* ``jobs > 1`` fans independent cells out to a ``ProcessPoolExecutor``;
+  every figure prefetches its cell list through the pool before
+  assembling the table.
 
 The parallel path is hardened against a hostile environment.  Worker
 liveness has one mechanism: a wall-clock deadline per task
@@ -53,13 +56,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..arch.config import MachineConfig, apply_overrides, mesh, single_core
+from ..arch.config import MachineConfig, apply_overrides, mesh
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.registers import Value
 from ..sim.faults import FaultConfig, FaultPlan
 from ..sim.machine import VoltronMachine
-from ..sim.stats import MachineStats, STALL_CATEGORIES
+from ..sim.stats import MachineStats
 from ..workloads.suite import BENCHMARKS, Benchmark, build
 from .cache import ResultCache, cache_key, reference_key
 from .journal import JournalReplay, RunJournal
@@ -129,10 +132,6 @@ class RunResult:
             },
             metrics=data.get("metrics"),
         )
-
-
-def _config_for(n_cores: int) -> MachineConfig:
-    return single_core() if n_cores == 1 else mesh(n_cores)
 
 
 @dataclass
@@ -317,7 +316,7 @@ class ExperimentRunner:
     def machine_config(self, n_cores: int) -> MachineConfig:
         """The machine shape simulated for ``n_cores``: the standard
         mesh preset with this runner's overrides applied on top."""
-        return apply_overrides(_config_for(n_cores), self.config_overrides)
+        return apply_overrides(mesh(n_cores), self.config_overrides)
 
     def compiler(self, name: str) -> VoltronCompiler:
         if name not in self._compilers:
@@ -481,7 +480,7 @@ class ExperimentRunner:
     def prefetch(self, cells: Sequence[Cell]) -> None:
         """Populate the run memo for ``cells``, fanning cache misses out to
         a process pool when ``jobs > 1``.  Serial fallback otherwise -- the
-        figure drivers call this unconditionally."""
+        figures call this unconditionally."""
         pending = self._resolve_cached(cells)
         if self.jobs > 1 and len({name for name, _, _ in pending}) > 1:
             self._prefetch_parallel(pending)
@@ -730,230 +729,3 @@ class ExperimentRunner:
             for counter, value in result.stats.recovery.items():
                 totals[counter] = totals.get(counter, 0) + value
         return totals
-
-    # -- figures ------------------------------------------------------------------
-
-    def fig10_11_speedups(
-        self, cores: Optional[int] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Figure 10 (2 cores) / Figure 11 (4 cores): per-benchmark speedup
-        when exploiting each parallelism type individually."""
-        n_cores = 4 if cores is None else cores
-        self.prefetch(
-            [(name, 1, "baseline") for name in self.names]
-            + [
-                (name, n_cores, strategy)
-                for name in self.names
-                for strategy in SINGLE_STRATEGIES
-            ]
-        )
-        table: Dict[str, Dict[str, float]] = {}
-        for name in self.names:
-            table[name] = {
-                strategy: self.speedup(name, n_cores, strategy)
-                for strategy in SINGLE_STRATEGIES
-            }
-        return table
-
-    def fig12_stalls(
-        self, cores: Optional[int] = None
-    ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Figure 12: stall cycles (per-core mean) under coupled-mode ILP
-        vs decoupled fine-grain TLP, normalized to serial execution time."""
-        n_cores = 4 if cores is None else cores
-        self.prefetch(
-            [(name, 1, "baseline") for name in self.names]
-            + [
-                (name, n_cores, strategy)
-                for name in self.names
-                for strategy in ("ilp", "tlp")
-            ]
-        )
-        table: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for name in self.names:
-            serial = self.baseline(name).cycles
-            row: Dict[str, Dict[str, float]] = {}
-            for strategy, label in (("ilp", "coupled"), ("tlp", "decoupled")):
-                stats = self.run(name, n_cores, strategy).stats
-                row[label] = {
-                    category: stats.mean_stalls(category) / serial
-                    for category in STALL_CATEGORIES
-                }
-            table[name] = row
-        return table
-
-    def fig13_hybrid(
-        self, cores: Sequence[int] = (2, 4)
-    ) -> Dict[str, Dict[int, float]]:
-        """Figure 13: hybrid speedups on 2- and 4-core Voltron (or any
-        other set of core counts, e.g. ``(16, 32)`` for scaled meshes)."""
-        counts = tuple(cores)
-        self.prefetch(
-            [(name, 1, "baseline") for name in self.names]
-            + [(name, n, "hybrid") for name in self.names for n in counts]
-        )
-        return {
-            name: {
-                n: self.speedup(name, n, "hybrid")
-                for n in counts
-            }
-            for name in self.names
-        }
-
-    def fig_scaling(
-        self, cores: Sequence[int] = (4, 16, 32)
-    ) -> Dict[str, Dict[int, Dict[str, float]]]:
-        """Beyond the paper's grid: per-benchmark speedup for every
-        strategy at each mesh size, ``{name: {cores: {strategy: x}}}``.
-
-        The paper stops at 4 cores; this cell exposes which strategies
-        keep scaling on 16/32-core meshes (statistical LLP regions with
-        wide DOALL loops) and which saturate (ILP limited by the
-        program's dependence height)."""
-        counts = tuple(cores)
-        strategies = SINGLE_STRATEGIES + ("hybrid",)
-        self.prefetch(
-            [(name, 1, "baseline") for name in self.names]
-            + [
-                (name, n, strategy)
-                for name in self.names
-                for n in counts
-                for strategy in strategies
-            ]
-        )
-        return {
-            name: {
-                n: {
-                    strategy: self.speedup(name, n, strategy)
-                    for strategy in strategies
-                }
-                for n in counts
-            }
-            for name in self.names
-        }
-
-    def fig14_mode_time(
-        self, cores: Optional[int] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Figure 14: fraction of hybrid execution spent in each mode."""
-        n_cores = 4 if cores is None else cores
-        self.prefetch([(name, n_cores, "hybrid") for name in self.names])
-        table = {}
-        for name in self.names:
-            stats = self.run(name, n_cores, "hybrid").stats
-            table[name] = {
-                "coupled": stats.mode_fraction("coupled"),
-                "decoupled": stats.mode_fraction("decoupled"),
-            }
-        return table
-
-    def fig3_breakdown(
-        self, cores: Optional[int] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Figure 3: fraction of serial execution best accelerated by each
-        parallelism type on a 4-core system.
-
-        Methodology mirrors the paper: each region is timed under each
-        single-strategy compilation; the region's serial-time fraction is
-        attributed to the type that ran it fastest (or to "single core"
-        when no strategy beats the baseline)."""
-        n_cores = 4 if cores is None else cores
-        self.prefetch(
-            [(name, 1, "baseline") for name in self.names]
-            + [
-                (name, n_cores, strategy)
-                for name in self.names
-                for strategy in SINGLE_STRATEGIES
-            ]
-        )
-        table: Dict[str, Dict[str, float]] = {}
-        for name in self.names:
-            base = self.baseline(name)
-            base_groups = _group_cycles(base)
-            total = sum(base_groups.values()) or 1
-            strategy_groups = {
-                strategy: _group_cycles(self.run(name, n_cores, strategy))
-                for strategy in SINGLE_STRATEGIES
-            }
-            fractions = {"ilp": 0.0, "tlp": 0.0, "llp": 0.0, "single": 0.0}
-            for origin, serial_cycles in base_groups.items():
-                times = {
-                    strategy: groups.get(origin, serial_cycles)
-                    for strategy, groups in strategy_groups.items()
-                }
-                best_strategy = min(times, key=lambda s: times[s])
-                weight = serial_cycles / total
-                if times[best_strategy] < serial_cycles:
-                    fractions[best_strategy] += weight
-                else:
-                    fractions["single"] += weight
-            table[name] = fractions
-        return table
-
-    def figure7_9_examples(self) -> Dict[str, float]:
-        """Paper Sections 4.2 examples: measured 2-core speedups for the
-        Fig. 7 (DOALL), Fig. 8 (strands), and Fig. 9 (ILP) loop shapes,
-        computed from the kernels that embody them."""
-        from ..workloads.kernels import KernelContext
-        from ..isa.builder import ProgramBuilder
-        from ..workloads import doall_kernel, ilp_kernel, match_kernel
-
-        results = {}
-        for label, kernel, kwargs, strategy in (
-            ("fig7_gsm_llp", doall_kernel, {"trips": 256, "work": 3}, "llp"),
-            ("fig8_gzip_strands", match_kernel, {"length": 320}, "tlp"),
-            (
-                "fig9_gsm_ilp",
-                ilp_kernel,
-                # The paper's Fig. 9 filter: four independent multiply
-                # chains (no cross-chain shuffle), compiled coupled.
-                {"trips": 200, "chains": 4, "depth": 5, "shuffle": False},
-                "ilp",
-            ),
-        ):
-            pb = ProgramBuilder(label)
-            fb = pb.function("main")
-            fb.block("entry")
-            ctx = KernelContext(pb=pb, fb=fb, seed=7)
-            out = kernel(ctx, **kwargs)
-            fb.halt()
-            program = pb.finish()
-            reference = run_program(program)
-            compiler = VoltronCompiler(program)
-            base_machine = VoltronMachine(
-                compiler.compile("baseline", single_core()), single_core()
-            )
-            base = base_machine.run().cycles
-            config = mesh(2)
-            machine = VoltronMachine(compiler.compile(strategy, config), config)
-            cycles = machine.run().cycles
-            assert machine.array_values(out) == reference.array_values(
-                program, out
-            )
-            results[label] = base / cycles
-        return results
-
-
-def _group_cycles(result: RunResult) -> Dict[str, int]:
-    """Aggregate block cycles by original region label."""
-    groups: Dict[str, int] = {}
-    for (function, label), cycles in result.stats.block_cycles.items():
-        descriptor = result.region_table.get((function, label))
-        origin = descriptor["origin"] if descriptor else label
-        key = f"{function}:{origin}"
-        groups[key] = groups.get(key, 0) + cycles
-    return groups
-
-
-def geomean(values: Sequence[float]) -> float:
-    product = 1.0
-    count = 0
-    for value in values:
-        product *= value
-        count += 1
-    return product ** (1.0 / count) if count else 0.0
-
-
-def arithmean(values: Sequence[float]) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

@@ -44,6 +44,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from .cache import fsync_path
+
 #: Bump on breaking record-layout changes; replay rejects a foreign major.
 JOURNAL_VERSION = 1
 
@@ -62,9 +64,11 @@ class RunJournal:
 
     Open with ``resume=True`` to append to an existing journal (the
     resume path); the default truncates, so ``--journal`` always starts
-    a fresh history.  ``fsync=False`` drops the per-record fsync for
-    throughput-sensitive tests -- production callers keep the default,
-    which is what makes a SIGKILLed driver resumable.
+    a fresh history.  Lifecycle records are written through
+    :meth:`record` with the fields listed in the module docstring
+    (``cell`` as a list, ``key``, plus ``attempt``/``mode``/``source``/
+    ``reason`` as the event needs).  The per-record fsync is what makes a
+    SIGKILLed driver resumable.
     """
 
     def __init__(
@@ -72,11 +76,9 @@ class RunJournal:
         path: Union[str, Path],
         *,
         resume: bool = False,
-        fsync: bool = True,
         context: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         if resume:
@@ -86,7 +88,7 @@ class RunJournal:
             # unreplayable -- trim the tail first.
             _trim_torn_tail(self.path)
         self._handle = open(self.path, "a" if resume else "w")
-        _fsync_dir(self.path.parent)
+        fsync_path(self.path.parent)
         self.records_written = 0
         self.record(
             "start",
@@ -103,52 +105,15 @@ class RunJournal:
         payload = {"event": event, "t": time.monotonic(), **fields}
         self._handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self.records_written += 1
-
-    # -- lifecycle vocabulary (cell is the (benchmark, cores, strategy) triple) --
-
-    def planned(self, cell: Tuple[str, int, str], key: Optional[str]) -> None:
-        self.record("planned", cell=list(cell), key=key)
-
-    def dispatched(
-        self, cell: Tuple[str, int, str], key: Optional[str],
-        attempt: int, mode: str,
-    ) -> None:
-        self.record(
-            "dispatched", cell=list(cell), key=key, attempt=attempt, mode=mode
-        )
-
-    def completed(
-        self, cell: Tuple[str, int, str], key: Optional[str],
-        source: str, attempt: int = 0,
-    ) -> None:
-        self.record(
-            "completed", cell=list(cell), key=key, source=source,
-            attempt=attempt,
-        )
-
-    def failed(
-        self, cell: Tuple[str, int, str], key: Optional[str], reason: str,
-        attempt: int = 0,
-    ) -> None:
-        self.record(
-            "failed", cell=list(cell), key=key, reason=reason, attempt=attempt
-        )
-
-    def abandoned(
-        self, cell: Tuple[str, int, str], key: Optional[str], reason: str
-    ) -> None:
-        self.record("abandoned", cell=list(cell), key=key, reason=reason)
 
     def close(self) -> None:
         if self._handle is not None:
             handle, self._handle = self._handle, None
             handle.flush()
-            if self.fsync:
-                with contextlib.suppress(OSError):
-                    os.fsync(handle.fileno())
+            with contextlib.suppress(OSError):
+                os.fsync(handle.fileno())
             handle.close()
 
     def __enter__(self) -> "RunJournal":
@@ -164,63 +129,20 @@ def _trim_torn_tail(path: Path) -> None:
     records after it means out-of-order durability, and the file is
     left untouched for :func:`read_journal` to reject loudly."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError:
-        return
-    torn_offset: Optional[int] = None
-    offset = 0
-    for line in data.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped:
-            try:
-                json.loads(stripped)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                if torn_offset is None:
-                    torn_offset = offset
-            else:
-                if torn_offset is not None:
-                    return  # torn mid-file: not ours to repair
-        offset += len(line)
+        data = path.read_bytes()
+        _, torn_offset = _parse(path, data)
+    except (OSError, ValueError):
+        return  # unreadable, or torn mid-file: not ours to repair
     if torn_offset is not None:
         with open(path, "r+b") as handle:
             handle.truncate(torn_offset)
-        _fsync_file(path)
+        fsync_path(path)
     elif data and not data.endswith(b"\n"):
         # Complete final record, torn newline: appending would glue the
         # next record onto it -- restore the separator.
         with open(path, "ab") as handle:
             handle.write(b"\n")
-        _fsync_file(path)
-
-
-def _fsync_file(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory entry so a just-created/renamed file survives
-    power loss.  Best effort: not every platform/filesystem allows
-    opening a directory for fsync."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        fsync_path(path)
 
 
 def read_journal(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -232,31 +154,32 @@ def read_journal(path: Union[str, Path]) -> List[Dict[str, Any]]:
     would mean out-of-order durability and raises -- that journal cannot
     be trusted for replay.
     """
+    return _parse(path, Path(path).read_bytes())[0]
+
+
+def _parse(
+    path: Union[str, Path], data: bytes
+) -> Tuple[List[Dict[str, Any]], Optional[int]]:
+    """A journal's records, plus the byte offset of a torn final record
+    (None when the tail is intact); a torn record with records after it
+    raises ``ValueError``."""
     records: List[Dict[str, Any]] = []
-    torn_at: Optional[int] = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
+    torn: Optional[Tuple[int, int]] = None  # (line number, byte offset)
+    offset = 0
+    for lineno, line in enumerate(data.splitlines(keepends=True), 1):
+        if line.strip():
+            if torn is not None:
+                raise ValueError(
+                    f"{path}: torn record at line {torn[0]} is not the "
+                    f"final line (line {lineno} follows); journal is "
+                    "not replayable"
+                )
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if torn_at is None:
-                    torn_at = lineno
-                    continue
-                raise ValueError(
-                    f"{path}: torn record at line {torn_at} is not the "
-                    f"final line (line {lineno} follows); journal is "
-                    "not replayable"
-                )
-            if torn_at is not None:
-                raise ValueError(
-                    f"{path}: torn record at line {torn_at} is not the "
-                    f"final line (line {lineno} follows); journal is "
-                    "not replayable"
-                )
-            records.append(record)
-    return records
+                records.append(json.loads(line))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                torn = (lineno, offset)
+        offset += len(line)
+    return records, torn[1] if torn is not None else None
 
 
 class JournalReplay:

@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 from ..sim.recovery import REMAP_HOPS_PREFIX
-from .experiments import arithmean
+
+
+def geomean(values: Iterable[float]) -> float:
+    product = 1.0
+    count = 0
+    for value in values:
+        product *= value
+        count += 1
+    return product ** (1.0 / count) if count else 0.0
+
+
+def arithmean(values: Iterable[float]) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
 
 
 def render_table(

@@ -33,8 +33,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .experiments import ExperimentRunner, geomean
+from .experiments import ExperimentRunner
+from .figures import speedup_grid
 from .journal import JournalReplay, RunJournal, flush_on_signals
+from .reporting import geomean
 
 #: Artifact schema: bump the major on breaking layout changes.
 #: 1.1 added the categorical ``coherence``/``queue_policy`` machine axes.
@@ -240,15 +242,7 @@ def run_sweep(
                     journal=run_journal,
                     replay=replay,
                 )
-                runner.prefetch(
-                    [(name, 1, "baseline") for name in spec.workloads]
-                    + [
-                        (name, n_cores, strategy)
-                        for name in spec.workloads
-                        for n_cores in spec.cores
-                        for strategy in spec.strategies
-                    ]
-                )
+                grid = speedup_grid(runner, spec.cores, spec.strategies)
                 for n_cores in spec.cores:
                     for strategy in spec.strategies:
                         point = SweepPoint(
@@ -256,11 +250,10 @@ def run_sweep(
                             strategy=strategy,
                         )
                         for name in spec.workloads:
-                            result = runner.run(name, n_cores, strategy)
-                            point.cycles[name] = result.cycles
-                            point.speedups[name] = (
-                                runner.baseline(name).cycles / result.cycles
-                            )
+                            point.cycles[name] = runner.run(
+                                name, n_cores, strategy
+                            ).cycles
+                            point.speedups[name] = grid[name][n_cores][strategy]
                         point.geomean_speedup = geomean(
                             list(point.speedups.values())
                         )

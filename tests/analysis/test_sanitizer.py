@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import RaceSanitizer
+from repro.analysis import RaceSanitizer, run_sanitized
+from repro.analysis.mutate import duplicate_send
 from repro.api import compile_benchmark
 from repro.arch.config import mesh
 from repro.sim.faults import FaultConfig
@@ -87,3 +88,15 @@ def test_finding_cap_bounds_memory(tlp_cell, inject_sync):
     sanitizer = RaceSanitizer(max_findings=1)
     _run(tlp_cell, sanitizer)
     assert len(sanitizer.findings) <= 1
+
+
+def test_run_sanitized_reports_a_leaked_message(tlp_cell):
+    machine, findings = run_sanitized(tlp_cell, mesh(4))
+    assert findings == []
+    assert machine.network.quiescent()
+    assert machine.obs.checked_accesses > 0
+    leaky = compile_benchmark("epic", 4, "tlp")
+    duplicate_send(leaky)
+    machine, findings = run_sanitized(leaky, mesh(4))
+    assert [finding.kind for finding in findings] == ["message-leak"]
+    assert not machine.network.quiescent()

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.harness import figures
 from repro.harness.cli import main as cli_main
 from repro.harness.experiments import (
     ExperimentRunner,
@@ -128,9 +129,9 @@ class TestRemovedSpellings:
     def test_figure_driver_alias_removed(self):
         runner = ExperimentRunner(benchmarks=[])
         with pytest.raises(TypeError, match="n_cores"):
-            runner.fig10_11_speedups(n_cores=2)
+            figures.fig10_11_speedups(runner, n_cores=2)
         with pytest.raises(TypeError, match="n_cores"):
-            runner.fig14_mode_time(n_cores=4)
+            figures.fig14_mode_time(runner, n_cores=4)
 
     def test_canonical_spellings_work(self):
         runner = ExperimentRunner(

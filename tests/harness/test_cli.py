@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.harness.cli import build_parser, main
+from repro.harness.cli import FIGURES, build_parser, main
 
 
 def run_cli(argv):
@@ -145,8 +147,72 @@ class TestSweepCommand:
         assert "workload" in text
 
     def test_sweep_rejects_faults(self):
+        # sweep registers no fault flags, so argparse refuses them.
+        with pytest.raises(SystemExit) as refused:
+            run_cli(["sweep", "--workloads", "rawcaudio", "--faults"])
+        assert refused.value.code == 2
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+class TestFigureGoldens:
+    """Every figure's CLI stdout, pinned byte for byte.  Deliberate
+    output changes regenerate the files with::
+
+        PYTHONPATH=src python -m pytest tests/harness/test_cli.py --update-golden
+    """
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_figure_output_matches_golden(self, figure, update_golden):
         code, text = run_cli(
-            ["sweep", "--workloads", "rawcaudio", "--faults"]
+            ["figure", "--figure", figure, "--benchmarks", "rawcaudio",
+             "--no-cache"]
         )
-        assert code == 2
-        assert "does not support --faults" in text
+        assert code == 0
+        path = GOLDEN_DIR / f"figure_{figure}.txt"
+        if update_golden:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            path.write_text(text)
+            return
+        assert path.exists(), (
+            f"missing golden file {path.name}; run pytest with "
+            "--update-golden to create it"
+        )
+        assert text == path.read_text(), (
+            f"figure {figure} output drifted from {path.name}"
+        )
+
+
+class TestVerifyDynamic:
+    def test_dynamic_verify_reports_message_leak(self, tmp_path, monkeypatch):
+        # A duplicated SEND is a static orphan-send (suppressed here);
+        # the extra message still sits in a queue at halt, which the
+        # dynamic check must report as a message leak.
+        from repro.analysis.mutate import duplicate_send
+        from repro.compiler.driver import VoltronCompiler
+
+        compile_cell = VoltronCompiler.compile
+
+        def compile_mutated(self, *args, **kwargs):
+            compiled = compile_cell(self, *args, **kwargs)
+            duplicate_send(compiled)
+            return compiled
+
+        monkeypatch.setattr(VoltronCompiler, "compile", compile_mutated)
+        report_path = tmp_path / "findings.json"
+        code, text = run_cli(
+            ["verify", "--benchmarks", "epic", "--cores", "4",
+             "--strategies", "tlp", "--dynamic", "--suppress", "orphan-send",
+             "--report", str(report_path)]
+        )
+        assert code == 1
+        document = json.loads(report_path.read_text())
+        leaks = [
+            finding
+            for cell in document["cells"]
+            for finding in cell["findings"]
+            if finding["kind"] == "message-leak"
+        ]
+        assert len(leaks) == 1
+        assert not leaks[0]["suppressed"]

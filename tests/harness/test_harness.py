@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.harness.experiments import (
-    ExperimentRunner,
+from repro.harness import figures
+from repro.harness.experiments import ExperimentRunner
+from repro.harness.reporting import (
     arithmean,
     geomean,
+    render_bar_breakdown,
+    render_table,
 )
-from repro.harness.reporting import render_bar_breakdown, render_table
 from repro.sim.stats import STALL_CATEGORIES
 
 
@@ -36,14 +38,14 @@ class TestRunner:
 
 class TestFigures:
     def test_fig10_shape(self, runner):
-        table = runner.fig10_11_speedups(2)
+        table = figures.fig10_11_speedups(runner, 2)
         assert set(table) == {"gsmdecode", "179.art", "171.swim"}
         for row in table.values():
             assert set(row) == {"ilp", "tlp", "llp"}
             assert all(v > 0 for v in row.values())
 
     def test_fig12_normalized_stalls(self, runner):
-        table = runner.fig12_stalls()
+        table = figures.fig12_stalls(runner)
         for row in table.values():
             assert set(row) == {"coupled", "decoupled"}
             for bars in row.values():
@@ -54,30 +56,30 @@ class TestFigures:
         """The paper's headline Fig. 12 observation: decoupled execution
         spends far less time in cache-miss stalls on miss-heavy programs
         (each core stalls separately)."""
-        row = runner.fig12_stalls()["179.art"]
+        row = figures.fig12_stalls(runner)["179.art"]
         coupled = row["coupled"]["dstall"] + row["coupled"]["istall"]
         decoupled = row["decoupled"]["dstall"] + row["decoupled"]["istall"]
         assert decoupled < coupled
 
     def test_fig13_hybrid_at_least_matches_best_single(self, runner):
-        hybrid = runner.fig13_hybrid()
+        hybrid = figures.fig13_hybrid(runner)
         for name in runner.names:
-            singles = runner.fig10_11_speedups(4)[name]
+            singles = figures.fig10_11_speedups(runner, 4)[name]
             assert hybrid[name][4] >= 0.9 * max(singles.values())
 
     def test_fig14_mode_fractions_sum_to_one(self, runner):
-        table = runner.fig14_mode_time()
+        table = figures.fig14_mode_time(runner)
         for row in table.values():
             assert row["coupled"] + row["decoupled"] == pytest.approx(1.0)
 
     def test_fig3_fractions_sum_to_one(self, runner):
-        table = runner.fig3_breakdown()
+        table = figures.fig3_breakdown(runner)
         for row in table.values():
             assert sum(row.values()) == pytest.approx(1.0)
             assert set(row) == {"ilp", "tlp", "llp", "single"}
 
     def test_fig3_art_prefers_fine_grain_tlp(self, runner):
-        row = runner.fig3_breakdown()["179.art"]
+        row = figures.fig3_breakdown(runner)["179.art"]
         assert row["tlp"] == max(row.values())
 
 

@@ -36,9 +36,15 @@ class TestRunJournal:
     def test_start_record_and_lifecycle_roundtrip(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path, context={"driver": "test"}) as journal:
-            journal.planned(CELL, "k1")
-            journal.dispatched(CELL, "k1", attempt=1, mode="pool")
-            journal.completed(CELL, "k1", source="worker", attempt=1)
+            journal.record("planned", cell=list(CELL), key="k1")
+            journal.record(
+                "dispatched", cell=list(CELL), key="k1", attempt=1,
+                mode="pool",
+            )
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="worker",
+                attempt=1,
+            )
         records = read_journal(path)
         assert _events(path) == ["start", "planned", "dispatched", "completed"]
         start = records[0]
@@ -54,9 +60,12 @@ class TestRunJournal:
     def test_fresh_open_truncates_resume_appends(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
+            journal.record("planned", cell=list(CELL), key="k1")
         with RunJournal(path, resume=True) as journal:
-            journal.completed(CELL, "k1", source="cache")
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="cache",
+                attempt=0,
+            )
         assert _events(path) == ["start", "planned", "start", "completed"]
         assert read_journal(path)[2]["resumed"] is True
         # Without resume the history restarts from scratch.
@@ -68,14 +77,18 @@ class TestRunJournal:
         path = tmp_path / "run.jnl"
         journal = RunJournal(path)
         journal.close()
-        journal.planned(CELL, "k1")  # no exception, no record
+        # No exception, no record.
+        journal.record("planned", cell=list(CELL), key="k1")
         journal.close()  # idempotent
         assert _events(path) == ["start"]
 
     def test_records_are_one_line_each(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.abandoned(CELL, "k1", reason="multi\nline\nreason")
+            journal.record(
+                "abandoned", cell=list(CELL), key="k1",
+                reason="multi\nline\nreason",
+            )
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["reason"] == "multi\nline\nreason"
@@ -85,8 +98,11 @@ class TestReadJournal:
     def test_torn_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
-            journal.completed(CELL, "k1", source="serial")
+            journal.record("planned", cell=list(CELL), key="k1")
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="serial",
+                attempt=0,
+            )
         with open(path, "a") as handle:
             handle.write('{"event":"planned","cell":["gsm')  # SIGKILL here
         assert _events(path) == ["start", "planned", "completed"]
@@ -94,7 +110,7 @@ class TestReadJournal:
     def test_torn_middle_line_raises(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
+            journal.record("planned", cell=list(CELL), key="k1")
         text = path.read_text()
         lines = text.splitlines()
         lines.insert(1, '{"torn":')
@@ -108,28 +124,34 @@ class TestReadJournal:
         # would reject the whole file as unreplayable.
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
+            journal.record("planned", cell=list(CELL), key="k1")
         with open(path, "a") as handle:
             handle.write('{"event":"completed","cell":["gsm')
         with RunJournal(path, resume=True) as journal:
-            journal.completed(CELL, "k1", source="serial")
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="serial",
+                attempt=0,
+            )
         assert _events(path) == ["start", "planned", "start", "completed"]
 
     def test_resume_repairs_missing_final_newline(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
+            journal.record("planned", cell=list(CELL), key="k1")
         with open(path, "rb+") as handle:
             handle.seek(-1, os.SEEK_END)
             handle.truncate()  # complete record, torn newline
         with RunJournal(path, resume=True) as journal:
-            journal.completed(CELL, "k1", source="serial")
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="serial",
+                attempt=0,
+            )
         assert _events(path) == ["start", "planned", "start", "completed"]
 
     def test_resume_leaves_mid_file_tears_alone(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
+            journal.record("planned", cell=list(CELL), key="k1")
         lines = path.read_text().splitlines()
         lines.insert(1, '{"torn":')
         path.write_text("\n".join(lines) + "\n")
@@ -145,7 +167,7 @@ class TestReadJournal:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
+            journal.record("planned", cell=list(CELL), key="k1")
         with open(path, "a") as handle:
             handle.write("\n\n")
         assert _events(path) == ["start", "planned"]
@@ -223,9 +245,15 @@ class TestJournalReplay:
     def test_from_path_matches_live_journal(self, tmp_path):
         path = tmp_path / "run.jnl"
         with RunJournal(path) as journal:
-            journal.planned(CELL, "k1")
-            journal.dispatched(CELL, "k1", attempt=1, mode="serial")
-            journal.completed(CELL, "k1", source="serial", attempt=1)
+            journal.record("planned", cell=list(CELL), key="k1")
+            journal.record(
+                "dispatched", cell=list(CELL), key="k1", attempt=1,
+                mode="serial",
+            )
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="serial",
+                attempt=1,
+            )
         replay = JournalReplay.from_path(path)
         assert replay.is_completed("k1")
         assert replay.balanced()
@@ -237,12 +265,12 @@ class TestFlushOnSignals:
         journal = RunJournal(path)
         with pytest.raises(KeyboardInterrupt, match="journal flushed"):
             with flush_on_signals(journal):
-                journal.planned(CELL, "k1")
+                journal.record("planned", cell=list(CELL), key="k1")
                 os.kill(os.getpid(), signal.SIGTERM)
         assert _events(path) == ["start", "planned", "interrupted"]
         assert JournalReplay.from_path(path).interrupted
         # The journal is closed; late writes are dropped, not errors.
-        journal.planned(CELL, "k2")
+        journal.record("planned", cell=list(CELL), key="k2")
         assert _events(path) == ["start", "planned", "interrupted"]
 
     def test_previous_handlers_are_restored(self, tmp_path):

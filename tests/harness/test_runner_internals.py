@@ -3,7 +3,8 @@ caching, and benchmark reconstruction."""
 
 import pytest
 
-from repro.harness.experiments import ExperimentRunner, RunResult, _group_cycles
+from repro.harness.experiments import ExperimentRunner, RunResult
+from repro.harness.figures import _group_cycles
 from repro.sim.stats import MachineStats
 
 

@@ -85,16 +85,22 @@ def test_generated_program_passes_full_oracle(seed):
     if _REPLAY is not None and _REPLAY.is_completed(handle):
         pytest.skip(f"{handle}: journaled complete in {GEN_JOURNAL}")
     if _JOURNAL is not None:
-        _JOURNAL.planned(cell, handle)
-        _JOURNAL.dispatched(cell, handle, attempt=1, mode="fuzz")
+        _JOURNAL.record("planned", cell=list(cell), key=handle)
+        _JOURNAL.record(
+            "dispatched", cell=list(cell), key=handle, attempt=1, mode="fuzz",
+        )
     bench = generate(seed, FUZZ_KNOBS)
     verdict = check_benchmark(bench)
     if _JOURNAL is not None:
         if verdict.ok:
-            _JOURNAL.completed(cell, handle, source="fuzz", attempt=1)
+            _JOURNAL.record(
+                "completed", cell=list(cell), key=handle, source="fuzz",
+                attempt=1,
+            )
         else:
-            _JOURNAL.failed(
-                cell, handle, reason=verdict.describe(), attempt=1
+            _JOURNAL.record(
+                "failed", cell=list(cell), key=handle,
+                reason=verdict.describe(), attempt=1,
             )
     if not verdict.ok:
         # A real find: minimize it and persist the repro before failing.
