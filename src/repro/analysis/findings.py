@@ -96,12 +96,6 @@ class VerificationReport:
     def active_findings(self) -> List[Finding]:
         return [f for f in self.findings if not f.suppressed]
 
-    def by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.active_findings():
-            counts[finding.kind] = counts.get(finding.kind, 0) + 1
-        return counts
-
     def cell(self) -> str:
         parts = []
         if self.benchmark:

@@ -63,12 +63,6 @@ class DependenceGraph:
         self.preds[dst.uid].append(edge)
         return edge
 
-    def flow_edges(self) -> Iterable[Edge]:
-        for edges in self.succs.values():
-            for edge in edges:
-                if edge.kind == FLOW:
-                    yield edge
-
     def all_edges(self) -> Iterable[Edge]:
         for edges in self.succs.values():
             yield from edges

@@ -29,12 +29,6 @@ class PartitionResult:
     assignment: Dict[int, int]
     estimated_finish: Dict[int, int] = field(default_factory=dict)
 
-    def core_of(self, op: Operation) -> int:
-        return self.assignment[op.uid]
-
-    def ops_on(self, ops: Sequence[Operation], core: int) -> List[Operation]:
-        return [op for op in ops if self.assignment[op.uid] == core]
-
 
 class BugPartitioner:
     """Greedy completion-time-estimate partitioner."""

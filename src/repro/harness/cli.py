@@ -95,11 +95,13 @@ from ..sim.faults import FAULT_PROFILES, FaultConfig
 from ..sim.stats import STALL_CATEGORIES
 from ..workloads.generator import generate_handles, is_generated, parse_handle
 from ..workloads.suite import BENCHMARKS
+from .experiments import FailureSummary
 from .figures import render_figure
 from .journal import flush_on_signals
 from .reporting import (
     render_cache_line,
     render_failure_line,
+    render_failures,
     render_fault_line,
     render_journal_line,
     render_recovery_line,
@@ -627,10 +629,13 @@ def _cmd_sweep(args, out) -> int:
         print("cache     : disabled", file=out)
     else:
         print(
-            f"cache     : {cache['hits']} hit(s), {cache['misses']} miss(es) "
-            f"({args.cache_dir})",
+            f"cache     : {cache['hits']} hit(s), {cache['misses']} miss(es), "
+            f"quarantined={cache['quarantined']} in {args.cache_dir}",
             file=out,
         )
+    failures = dict(document["failures"])
+    attempts = failures.pop("attempts")
+    print(render_failures(FailureSummary(**failures), attempts), file=out)
     journal_doc = document.get("journal")
     if journal_doc:
         print(

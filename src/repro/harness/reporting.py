@@ -76,6 +76,15 @@ def render_failure_line(runner) -> str:
     failures = summary() if callable(summary) else getattr(
         runner, "failures", None
     )
+    lifecycle = getattr(runner, "lifecycle", None)
+    return render_failures(
+        failures, lifecycle.attempts.values() if lifecycle else ()
+    )
+
+
+def render_failures(failures, attempts: Iterable[int] = ()) -> str:
+    """:func:`render_failure_line` over a ``FailureSummary`` and the
+    per-cell attempt counts (a sweep sums both over its runners)."""
     if failures is None or not failures.any():
         return "failures  : none"
     parts = []
@@ -99,12 +108,10 @@ def render_failure_line(runner) -> str:
             f"{len(failures.abandoned)} cell(s) abandoned "
             f"[{', '.join(failures.abandoned)}]"
         )
-    lifecycle = getattr(runner, "lifecycle", None)
-    attempts = list(lifecycle.attempts.values()) if lifecycle else []
-    if max(attempts, default=0) > 1:
+    repeated = [count for count in attempts if count > 1]
+    if repeated:
         parts.append(
-            f"up to {max(attempts)} attempt(s) over "
-            f"{sum(1 for count in attempts if count > 1)} cell(s)"
+            f"up to {max(repeated)} attempt(s) over {len(repeated)} cell(s)"
         )
     return "failures  : " + "; ".join(parts)
 

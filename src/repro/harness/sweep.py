@@ -27,20 +27,22 @@ artifact for CI upload or notebook analysis.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .experiments import ExperimentRunner
+from .experiments import ExperimentRunner, FailureSummary
 from .figures import speedup_grid
 from .journal import JournalReplay, RunJournal, flush_on_signals
 from .reporting import geomean
 
 #: Artifact schema: bump the major on breaking layout changes.
-#: 1.1 added the categorical ``coherence``/``queue_policy`` machine axes.
-SWEEP_SCHEMA_VERSION = "1.1"
+#: 1.1 added the categorical ``coherence``/``queue_policy`` machine axes;
+#: 1.2 the ``failures`` record and the cache's ``quarantined`` count.
+SWEEP_SCHEMA_VERSION = "1.2"
 
 #: Machine axes and their dominance direction.  ``resource`` axes are
 #: hardware you pay for (less is cheaper); ``penalty`` axes are
@@ -195,9 +197,15 @@ def run_sweep(
           "schema_version": ..., "spec": {...}, "axes": {...},
           "points": [SweepPoint...],             # every cell, aggregated
           "frontiers": {strategy: [point index...]},
-          "cache": {"hits": ..., "misses": ...},
+          "cache": {"hits": ..., "misses": ..., "quarantined": ...},
+          "failures": {FailureSummary fields..., "attempts": [...]},
           "journal": {...},                      # only when journaling
         }
+
+    ``failures`` sums what every runner's hardened prefetch absorbed
+    (worker crashes, timeouts, retries, serial re-runs, abandoned
+    cells); ``attempts`` lists the attempt count of each cell that
+    needed more than one.
 
     With ``journal=`` every runner writes through one shared write-ahead
     :class:`RunJournal` (content-hash keys disambiguate cells across
@@ -205,7 +213,8 @@ def run_sweep(
     ``resume=True`` replays an interrupted journal against the result
     cache so only cells without a durable ``completed`` record are
     re-dispatched -- the resumed document is identical to an
-    uninterrupted sweep's modulo the ``cache``/``journal`` tallies.
+    uninterrupted sweep's modulo the ``cache``/``failures``/``journal``
+    tallies (each describes its own session).
     """
     axes = spec.axes()
     override_combos = [
@@ -226,7 +235,9 @@ def run_sweep(
             context={"driver": "sweep"},
         )
     points: List[SweepPoint] = []
-    cache_hits = cache_misses = 0
+    cache_hits = cache_misses = quarantined = 0
+    failures = FailureSummary()
+    attempts: List[int] = []
     journal_stats = {"replayed": 0, "rerun": 0, "abandoned": 0}
     try:
         with flush_on_signals(run_journal):
@@ -261,6 +272,14 @@ def run_sweep(
                 if runner.cache is not None:
                     cache_hits += runner.cache.hits
                     cache_misses += runner.cache.misses
+                    quarantined += runner.cache.quarantined
+                absorbed = runner.failure_summary()
+                for name, value in vars(absorbed).items():
+                    setattr(failures, name, getattr(failures, name) + value)
+                attempts.extend(
+                    count for count in runner.lifecycle.attempts.values()
+                    if count > 1
+                )
                 for stat, value in runner.journal_stats.items():
                     journal_stats[stat] += value
     finally:
@@ -285,7 +304,12 @@ def run_sweep(
         "varied_axes": spec.varied_axes(),
         "points": [point.to_dict() for point in points],
         "frontiers": frontiers,
-        "cache": {"hits": cache_hits, "misses": cache_misses},
+        "cache": {
+            "hits": cache_hits,
+            "misses": cache_misses,
+            "quarantined": quarantined,
+        },
+        "failures": {**dataclasses.asdict(failures), "attempts": attempts},
     }
     if run_journal is not None:
         document["journal"] = {

@@ -89,10 +89,6 @@ class Function:
             self.entry = label
         return block
 
-    def remove_block(self, label: str) -> None:
-        del self.blocks[label]
-        self.block_order.remove(label)
-
     # -- queries -----------------------------------------------------------
 
     def block(self, label: str) -> BasicBlock:

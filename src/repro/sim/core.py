@@ -68,6 +68,10 @@ class Core:
         self.next_free = 0  # earliest cycle the core may issue
         self.pending_cause: Optional[str] = None  # stall cause until next_free
         self.reg_ready: Dict[Reg, int] = {}
+        # The last stall of this core while free to issue, as
+        # (cycle, category, release): decided once by the kernel that
+        # took it (see stall) and read by the fast-forward window.
+        self.stall_stamp: Optional[Tuple[int, str, Optional[int]]] = None
         # Last-fetched position, kept as two fields (block identity plus
         # slot) so the per-cycle fetch probe never allocates a key tuple.
         self._fetched_block: Optional[CoreBlock] = None
@@ -131,17 +135,10 @@ class Core:
 
     # -- fetch bookkeeping --------------------------------------------------------
 
-    def needs_fetch(self) -> bool:
-        frame = self.frame
-        return (
-            self._fetched_block is not frame.block
-            or self._fetched_slot != frame.slot
-        )
-
     def take_fetch(self) -> Optional[int]:
-        """Combined needs_fetch/fetch_addr/mark_fetched for the simulator's
-        hot fetch path: returns the slot's address when it still needs an
-        I-fetch (marking it fetched), or None when already fetched."""
+        """The simulator's fetch probe: returns the slot's address when it
+        still needs an I-fetch (marking it fetched), or None when already
+        fetched."""
         frame = self.frame
         block = frame.block
         slot = frame.slot
@@ -151,22 +148,7 @@ class Core:
         self._fetched_slot = slot
         return block.base_addr + slot
 
-    def mark_fetched(self) -> None:
-        frame = self.frame
-        self._fetched_block = frame.block
-        self._fetched_slot = frame.slot
-
-    def fetch_addr(self) -> int:
-        frame = self.frame
-        return frame.block.op_addr(frame.slot)
-
     # -- scoreboard ----------------------------------------------------------------
-
-    def srcs_ready(self, op: Operation, cycle: int) -> bool:
-        for src in op.srcs:
-            if isinstance(src, Reg) and self.reg_ready.get(src, 0) > cycle:
-                return False
-        return True
 
     def write_reg(self, reg: Reg, value: Value, ready: int) -> None:
         self.regs.write(reg, value)
@@ -176,6 +158,15 @@ class Core:
         if isinstance(operand, Imm):
             return operand.value
         return self.regs.read(operand)
+
+    def stall(
+        self, cycle: int, category: str, release: Optional[int] = None
+    ) -> None:
+        """An issue-ready core stalls at ``cycle``: charge ``category`` and
+        stamp why and until when.  ``release`` is the cycle the stall lifts
+        on its own, or None when only another core's progress can end it."""
+        self.stats.stall(category)
+        self.stall_stamp = (cycle, category, release)
 
     def block_until(self, cycle: int, cause: str) -> None:
         """Block the pipeline until ``cycle`` (exclusive), e.g. a cache miss."""

@@ -256,10 +256,6 @@ class FaultPlan:
             corrupt > 0.0 or drop > 0.0 or blackout > 0.0
         )
 
-    @classmethod
-    def from_seed(cls, seed: int, rate: float = 0.01, **kwargs) -> "FaultPlan":
-        return cls(FaultConfig(seed=seed, rate=rate, **kwargs))
-
     # -- injection probes (one per site kind) ----------------------------------
 
     def mem_delay(self) -> int:

@@ -32,12 +32,19 @@ statistic:
   per-cycle execute path is a single indexed lookup instead of a long
   opcode if-chain plus a latency-table probe.
 
-* **Stall fast-forwarding.**  Whenever *every* live core is provably
-  blocked for the rest of the cycle -- cache-miss fills, RECV waits with
-  the matching message still in flight, barrier/commit waits -- the
-  machine computes each blocked core's release cycle, jumps the clock to
-  the earliest one, and bulk-credits the skipped cycles to exactly the
-  stall categories single-stepping would have recorded.
+* **Stall fast-forwarding.**  Each stall rule lives once, in the kernel
+  that takes the stall.  When ``_step_group`` or ``_step_decoupled``
+  stalls a core that is free to issue -- the scoreboard interlock, a
+  ``TX_COMMIT`` waiting on commit order, a deferred ``TX_BEGIN``, send
+  back-pressure, a RECV with no message -- it stamps the core with
+  ``(cycle, category, release)`` (``Core.stall``), where ``release`` is
+  the cycle the stall lifts on its own, or None when only another core's
+  progress can end it.  After a cycle in which no core issued, the
+  window code reads the rest from pipeline state (halted, barrier and
+  listening cores, ``next_free`` holds, the coupled stall bus) and the
+  stamps from that cycle; if every live core is stalled it jumps the
+  clock to the earliest release and bulk-credits the skipped cycles to
+  exactly the stall categories single-stepping would have recorded.
   ``MachineStats.summary()`` is bit-identical either way (the
   ``tests/properties/test_prop_fastpath.py`` differential suite enforces
   this, fault plans included); pass ``fast_forward=False`` to force the
@@ -70,7 +77,7 @@ from .caches import L1ICache, make_coherence
 from .core import BARRIER_WAIT, HALTED, LISTENING, RUNNING, Core
 from .faults import FaultConfig, FaultPlan
 from .memory import MainMemory
-from .network import NetworkError, OperandNetwork
+from .network import OperandNetwork
 from .probe import bind
 from .recovery import RecoveryManager
 from .stats import MachineStats
@@ -226,8 +233,10 @@ class VoltronMachine:
         opcode to its dispatch-table handler, an is-direct-wire flag
         (PUT/BCAST, issued in coupled phase A), and the tuple of register
         sources the scoreboard must probe.  The results live on the block
-        itself (``CoreBlock.decoded``).  Unknown opcodes keep a None entry
-        and fail at execute time with the usual diagnostic."""
+        itself (``CoreBlock.decoded``) -- every block of ``compiled.streams``
+        is decoded, so the kernels never decode on the fly.  Unknown
+        opcodes keep a None handler and fail at execute time with the
+        usual diagnostic."""
         for stream in self.compiled.streams:
             for function in stream.values():
                 for block in function.ordered_blocks():
@@ -272,13 +281,13 @@ class VoltronMachine:
         block_count = 0
         # Fast-forward is only attempted after a cycle in which no core
         # issued (tracked by the busy tallies): progress cycles never pay
-        # for the classifier, and the first cycle of every stall window is
-        # single-stepped -- which credits it identically anyway.
+        # for the window code, and the first cycle of every stall window
+        # is single-stepped -- which stamps the stalls the window reads.
         stalled_prev = True
         busy_total = sum(s.busy for s in core_stats)
         on_cycle = self.on_cycle
         try:
-            while not self._all_halted():
+            while self._halted_count < len(cores):
                 if self.cycle >= self.max_cycles:
                     raise OutOfCycles(
                         f"exceeded {self.max_cycles} cycles "
@@ -380,12 +389,6 @@ class VoltronMachine:
 
     # -- helpers -------------------------------------------------------------------
 
-    def _all_halted(self) -> bool:
-        return self._halted_count >= len(self.cores)
-
-    def _live_cores(self) -> List[Core]:
-        return [core for core in self.cores if core.status != HALTED]
-
     def _check_deadlock(self) -> None:
         # Hot path: bail at the first live core that is not listening
         # (normally core 0, immediately) without building any lists.
@@ -434,14 +437,19 @@ class VoltronMachine:
         the stall categories per-cycle stepping would have recorded.
 
         Returns True when the clock was advanced (the caller skips the
-        normal step for this iteration).  Conservative by construction:
-        any situation the classifier cannot prove to be a pure stall makes
-        it decline, so single-stepping remains the semantic reference.
+        normal step for this iteration).  The window reads pipeline state
+        and decides no stall rule itself: a core free to issue counts as
+        stalled only through the stamp a kernel wrote in the cycle just
+        stepped, and a window extends the stamps it read to its last
+        cycle (nothing a stamp depends on changes inside it).  Anything
+        else declines: single-stepping is the reference.
         """
         cycle = self.cycle
         # (stats, category) pairs to bulk-credit per skipped cycle.
         credits: List[Tuple] = []
         releases: List[int] = []
+        # Free cores whose stall a kernel decided and stamped.
+        stamped: List[Core] = []
         send_stalled = 0
         faults = self.faults
         stall_probes = 0
@@ -458,12 +466,8 @@ class VoltronMachine:
                     # and the penalty do not commute).
                     return False
                 if self._cluster_penalty:
-                    # The classifier can be the first to see a new stall
-                    # episode (an istall blocks the whole ensemble with
-                    # no busy increment, so fast-forward runs before the
-                    # next single step): charge the cross-cluster
-                    # penalty here too, or the skipped window would be
-                    # too short.
+                    # An istall opens a stall episode with no busy
+                    # increment, so the window can be first to see it.
                     self._apply_cluster_penalty(running, cycle)
                 blocked = [c for c in running if c.next_free > cycle]
                 if blocked:
@@ -479,40 +483,14 @@ class VoltronMachine:
                             credits.append((core.stats, group_cause))
                     releases.append(min(c.next_free for c in blocked))
                     continue
-                # A free group falls through empty blocks / fetches / issues
-                # -- all state changes -- unless the scoreboard holds it.
-                if any(c.at_block_end() or c.needs_fetch() for c in running):
-                    return False
-                release: Optional[int] = None
-                for core in running:
-                    op = core.current_op()
-                    if op is None:
-                        continue
-                    for src in op.srcs:
-                        if isinstance(src, Reg):
-                            ready = core.reg_ready.get(src, 0)
-                            if ready > cycle and (
-                                release is None or ready > release
-                            ):
-                                release = ready
-                if release is None:
-                    return False  # every source ready: the group issues
-                # Lock-step scoreboard interlock: the group waits for the
-                # *last* source, stalling "latency" on every member.
-                for core in running:
-                    credits.append((core.stats, "latency"))
-                releases.append(release)
+                # A free group stalls only on the scoreboard interlock.
+                stamped.extend(running)
         else:
             for core in self.cores:
                 if core.status == HALTED:
                     continue
                 if core.status == BARRIER_WAIT:
-                    cause = (
-                        "call_sync"
-                        if core.id in self._barrier.get("call", set())
-                        else "barrier"
-                    )
-                    credits.append((core.stats, cause))
+                    credits.append((core.stats, self._barrier_cause(core)))
                     continue  # released by another core's arrival
                 if core.next_free > cycle:
                     credits.append(
@@ -528,47 +506,20 @@ class VoltronMachine:
                     if arrival is not None:
                         releases.append(arrival)
                     continue
-                # RUNNING and free: mirror _step_decoupled's check order.
-                if core.at_block_end() or core.needs_fetch():
-                    return False
-                op = core.current_op()
-                if op is None or op.opcode is Opcode.CALL:
-                    return False
-                if op.opcode is Opcode.TX_COMMIT and not self.tm.may_commit(
-                    core.id
-                ):
-                    credits.append((core.stats, "tx_wait"))
-                    continue  # released by an earlier chunk's commit
-                if op.opcode in _QUEUE_SEND_OPS:
-                    if not self.network.can_send(
-                        core.id, op.attrs["target_core"]
-                    ):
-                        credits.append((core.stats, "send"))
-                        send_stalled += 1
-                        continue  # released when the receiver drains
-                if not core.srcs_ready(op, cycle):
-                    release = max(
-                        core.reg_ready.get(src, 0)
-                        for src in op.srcs
-                        if isinstance(src, Reg)
-                        and core.reg_ready.get(src, 0) > cycle
-                    )
-                    credits.append((core.stats, "latency"))
-                    releases.append(release)
-                    continue
-                if op.opcode is Opcode.RECV:
-                    arrival = self.network.next_data_arrival(
-                        core.id,
-                        op.attrs["source_core"],
-                        op.attrs.get("tag"),
-                    )
-                    if arrival is not None and arrival <= cycle:
-                        return False  # the message is receivable now
-                    credits.append((core.stats, self._recv_category(op)))
-                    if arrival is not None:
-                        releases.append(arrival)
-                    continue
-                return False  # the core issues this cycle
+                stamped.append(core)
+
+        for core in stamped:
+            stamp = core.stall_stamp
+            if stamp is None or stamp[0] != cycle - 1:
+                return False  # free, and not stalled in the cycle before
+            _, category, release = stamp
+            if release is not None:
+                if release <= cycle:
+                    return False  # the stall lifts this cycle
+                releases.append(release)
+            credits.append((core.stats, category))
+            if category == "send":
+                send_stalled += 1
 
         if not credits:
             return False  # nothing to account for: not a provable stall
@@ -591,6 +542,8 @@ class VoltronMachine:
         for stats, category in credits:
             stats.stall(category, skipped)
         self.network.send_stalls += send_stalled * skipped
+        for core in stamped:
+            core.stall_stamp = (target - 1,) + core.stall_stamp[1:]
         self.stats.mode_cycles[self.mode] += skipped
         master = self.cores[0]
         if master.stack:
@@ -696,30 +649,24 @@ class VoltronMachine:
                 issue.append((core, None, None, False, ()))
                 continue
             entry = frame.block.decoded
-            if entry is not None:
-                issue.append(
-                    (core, op, entry[0][slot], entry[1][slot], entry[2][slot])
-                )
-            else:  # a block assembled after construction: decode on the fly
-                issue.append(
-                    (
-                        core,
-                        op,
-                        self._dispatch.get(op.opcode),
-                        op.opcode in _WIRE_OPS,
-                        tuple(s for s in op.srcs if isinstance(s, Reg)),
-                    )
-                )
+            issue.append(
+                (core, op, entry[0][slot], entry[1][slot], entry[2][slot])
+            )
 
-        # Scoreboard phase: lock-step means one unready core stalls all.
+        # Scoreboard phase: lock-step means one unready core stalls all,
+        # until the last unready source is ready.
+        release = 0
         for core, op, _, _, srcs in issue:
             if srcs:
                 reg_ready = core.reg_ready
                 for src in srcs:
-                    if reg_ready.get(src, 0) > cycle:
-                        for member in running:
-                            member.stats.stall("latency")
-                        return
+                    ready = reg_ready.get(src, 0)
+                    if ready > release:
+                        release = ready
+        if release > cycle:
+            for member in running:
+                member.stall(cycle, "latency", release)
+            return
 
         on_issue = self.on_issue
 
@@ -787,10 +734,7 @@ class VoltronMachine:
         if core.status == HALTED:
             return
         if core.status == BARRIER_WAIT:
-            cause = "call_sync" if core.id in self._barrier.get("call", set()) else (
-                "barrier"
-            )
-            core.stats.stall(cause)
+            core.stats.stall(self._barrier_cause(core))
             return
         if core.next_free > cycle:
             core.stats.stall(core.pending_cause or "latency")
@@ -843,7 +787,7 @@ class VoltronMachine:
             self._arrive_call_barrier(core, op)
             return
         if opcode is Opcode.TX_COMMIT and not self.tm.may_commit(core.id):
-            core.stats.stall("tx_wait")
+            core.stall(cycle, "tx_wait")  # until an earlier chunk commits
             return
         if (
             opcode is Opcode.TX_BEGIN
@@ -852,28 +796,33 @@ class VoltronMachine:
         ):
             # Graceful degradation: a degraded core issues its chunks
             # under the serialized fewer-core schedule.
-            core.stats.stall("tx_wait")
+            core.stall(cycle, "tx_wait")
             return
         if opcode in _QUEUE_SEND_OPS:
-            target = op.attrs["target_core"]
-            if not self.network.can_send(core.id, target):
-                core.stats.stall("send")
+            if not self.network.can_send(core.id, op.attrs["target_core"]):
+                # Back-pressure lifts when the receiver drains or, under
+                # the link layer, when a failed arrival's requeue returns
+                # a Virtual-Link pool slot (at the next arrival).
+                core.stall(
+                    cycle,
+                    "send",
+                    None if self.recovery is None
+                    else self.network.next_arrival(),
+                )
                 self.network.send_stalls += 1
                 return
         entry = frame.block.decoded
-        if entry is not None:
-            reg_ready = core.reg_ready
-            for src in entry[2][slot]:
-                if reg_ready.get(src, 0) > cycle:
-                    core.stats.stall("latency")
-                    return
-        elif not core.srcs_ready(op, cycle):
-            core.stats.stall("latency")
+        reg_ready = core.reg_ready
+        release = 0
+        for src in entry[2][slot]:
+            ready = reg_ready.get(src, 0)
+            if ready > release:
+                release = ready
+        if release > cycle:
+            core.stall(cycle, "latency", release)
             return
 
-        handler = (
-            entry[0][slot] if entry is not None else self._dispatch.get(opcode)
-        )
+        handler = entry[0][slot]
         if handler is None:
             raise SimulatorError(f"unimplemented opcode {opcode!r}")
         outcome = handler(self, core, op)
@@ -888,6 +837,11 @@ class VoltronMachine:
             frame.slot += 1
             if frame.slot >= len(frame.block.slots):
                 self._finish_block(core)
+
+    def _barrier_cause(self, core: Core) -> str:
+        if core.id in self._barrier.get("call", ()):
+            return "call_sync"
+        return "barrier"
 
     def _step_listening(self, core: Core) -> None:
         message = self.network.peek_control(core.id, self.cycle)
@@ -909,7 +863,7 @@ class VoltronMachine:
         arrived.add(core.id)
         core.status = BARRIER_WAIT
         core.stats.busy += 1  # the arrival cycle issues the (pending) call
-        live = {c.id for c in self._live_cores()}
+        live = {c.id for c in self.cores if c.status != HALTED}
         if arrived >= live:
             del self._barrier["call"]
             callee_names = set()
@@ -929,15 +883,6 @@ class VoltronMachine:
             self._mode_next = "coupled"
 
     # -- operation semantics ----------------------------------------------------------
-
-    @staticmethod
-    def _recv_category(op: Operation) -> str:
-        sync = op.attrs.get("sync")
-        if sync == "call":
-            return "call_sync"
-        if op.dests and op.dests[0].file is RegFile.PR:
-            return "recv_pred"
-        return "recv_data"
 
     def _do_load(self, core: Core, op: Operation) -> str:
         read = core.read_operand
@@ -1065,7 +1010,16 @@ class VoltronMachine:
             tag=op.attrs.get("tag"),
         )
         if message is None:
-            core.stats.stall(self._recv_category(op))
+            if op.attrs.get("sync") == "call":
+                category = "call_sync"
+            elif op.dests and op.dests[0].file is RegFile.PR:
+                category = "recv_pred"
+            else:
+                category = "recv_data"
+            # Stalled until the matching message arrives, if one exists.
+            core.stall(self.cycle, category, self.network.next_data_arrival(
+                core.id, op.attrs["source_core"], op.attrs.get("tag")
+            ))
             return "stall"
         if op.dests:
             core.write_reg(op.dest, message.value, self.cycle + 1)
@@ -1094,7 +1048,7 @@ class VoltronMachine:
         block, slot = core.listen_return
         core.frame.block = block
         core.frame.slot = slot
-        core._fetched = None
+        core._fetched_block = None
         core.status = LISTENING
         return "redirect"
 
@@ -1137,7 +1091,7 @@ class VoltronMachine:
         arrived = self._barrier.setdefault("mode", set())
         arrived.add(core.id)
         core.status = BARRIER_WAIT
-        live = {c.id for c in self._live_cores()}
+        live = {c.id for c in self.cores if c.status != HALTED}
         if arrived >= live:
             del self._barrier["mode"]
             self._deferred_release.update(arrived)

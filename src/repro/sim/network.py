@@ -406,8 +406,8 @@ class OperandNetwork:
     ) -> Optional[int]:
         """Earliest ready_cycle of a data message matching a RECV on
         ``core`` from ``src`` with ``tag`` -- queued or still in flight --
-        or None when no such message exists anywhere in the network.  Used
-        by the fast-forward kernel to compute a blocked RECV's release."""
+        or None when no such message exists anywhere in the network: the
+        release a blocked RECV stamps for the fast-forward window."""
         best: Optional[int] = None
         for message in self.receive_queues[core]:
             if (

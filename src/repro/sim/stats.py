@@ -120,9 +120,6 @@ class MachineStats:
         """Average stall cycles per core (the paper reports per-core means)."""
         return sum(core.stalls[category] for core in self.cores) / self.n_cores
 
-    def mean_total_stalls(self) -> float:
-        return sum(core.total_stalls for core in self.cores) / self.n_cores
-
     def total_ops(self) -> int:
         return sum(core.ops_executed for core in self.cores)
 

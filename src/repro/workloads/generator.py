@@ -302,11 +302,3 @@ def generate_handles(
 ) -> List[str]:
     """``count`` consecutive handles starting at ``base_seed``."""
     return [make_handle(base_seed + i, knobs) for i in range(count)]
-
-
-def scaled_knobs(scale: int = 1, **overrides: object) -> GenKnobs:
-    """A convenience bundle: multiply the default trip range by
-    ``scale`` and apply any field overrides (e.g. ``regions=(4, 8)``)."""
-    lo, hi = DEFAULT_KNOBS.trips
-    base = replace(DEFAULT_KNOBS, trips=(lo * scale, hi * scale))
-    return replace(base, **overrides) if overrides else base

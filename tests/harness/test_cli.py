@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.cli import FIGURES, build_parser, main
+
+
+def _crash_worker(task):
+    os._exit(3)  # breaks the pool: every task falls back to serial
 
 
 def run_cli(argv):
@@ -140,6 +146,25 @@ class TestSweepCommand:
             "cores", "queue_depth", "memory_latency",
         ]
         assert len(document["points"]) == 8
+
+    def test_sweep_reports_a_crashed_pool(self, tmp_path, monkeypatch):
+        # The serial fallback absorbs the crash; the sweep must still
+        # say so, on stdout and in the document.
+        monkeypatch.setattr(experiments, "_run_cells_worker", _crash_worker)
+        out_path = tmp_path / "sweep.json"
+        code, text = run_cli(
+            ["sweep", "--workloads", "rawcaudio", "gsmdecode",
+             "--strategies", "ilp", "--machines", "2", "--jobs", "2",
+             "--cache-dir", str(tmp_path / "cache"),
+             "--out", str(out_path)]
+        )
+        assert code == 0
+        assert "worker crash(es)" in text
+        assert "quarantined=0 in" in text
+        document = json.loads(out_path.read_text())
+        assert document["failures"]["worker_crashes"] >= 1
+        assert document["failures"]["degraded"]
+        assert document["cache"]["quarantined"] == 0
 
     def test_sweep_needs_workloads(self):
         code, text = run_cli(["sweep"])

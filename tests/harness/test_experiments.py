@@ -9,7 +9,9 @@ terminal), honest attempt counts, and a resumable history.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -28,6 +30,20 @@ def _crash_worker(task):
     os._exit(3)  # segfault/OOM stand-in: breaks the pool, no unwinding
 
 
+#: Inherited by the forked pool workers (the pool forks on first submit).
+_SIBLINGS = multiprocessing.Barrier(2)
+
+
+def _crash_with_sibling(task):
+    """Crash only once both tasks have reached a worker, so the first
+    death cannot break the pool before the second task is submitted."""
+    try:
+        _SIBLINGS.wait(timeout=30)
+    except threading.BrokenBarrierError:
+        pass
+    os._exit(3)
+
+
 def _hang_worker(task):
     time.sleep(3.0)
     return _run_cells_worker(task)
@@ -44,7 +60,7 @@ def _runner(tmp_path, **kwargs):
 class TestBrokenPoolJournalled:
     def test_serial_fallback_balances_the_journal(self, tmp_path):
         runner = _runner(tmp_path)
-        runner._worker_fn = _crash_worker
+        runner._worker_fn = _crash_with_sibling
         runner.prefetch(CELLS)
         runner.close_journal()
         for cell in CELLS:

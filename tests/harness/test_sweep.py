@@ -134,7 +134,7 @@ class TestRunSweep:
         document = run_sweep(
             spec, max_cycles=2_000_000, cache_dir=tmp_path / "cache"
         )
-        assert document["schema_version"] == "1.1"
+        assert document["schema_version"] == "1.2"
         assert document["varied_axes"] == [
             "cores",
             "queue_depth",

@@ -10,6 +10,10 @@ cell the figures use, comparing full ``MachineStats.to_dict()`` payloads
 and the final memory image between a fast-forwarding run and a
 single-stepping run of the same compiled program.
 
+The clustered leg runs fault-free on a 16-core mesh and a 32-core
+directory mesh with Virtual-Link queues, where the whole machine steps as
+one lock-step ensemble across stall-bus clusters.
+
 The faulted leg holds fault plans to the same bar: timing, destructive
 and mixed plans on the 4-core machine and on a clustered mesh16, where
 each window must also stop at the next stall-bus or blackout fire and at
@@ -63,6 +67,43 @@ def test_fast_forward_is_bit_identical(name):
         )
 
 
+# -- the clustered leg -----------------------------------------------------------
+
+def _vlink(name):
+    config = resolve_machine(name)
+    return dataclasses.replace(
+        config,
+        network=dataclasses.replace(config.network, queue_policy="vlink"),
+    )
+
+
+CLUSTERED_BENCHES = ("rawcaudio", "epic", "171.swim")
+
+#: Meshes past one stall-bus group: the whole machine steps as one
+#: lock-step ensemble and every new stall episode pays the cross-cluster
+#: penalty, which the window code charges before it reads any stall.
+CLUSTERED_MACHINES = (("mesh16", resolve_machine("mesh16")),
+                      ("mesh32-directory/vlink", _vlink("mesh32-directory")))
+
+
+@pytest.mark.parametrize("name", CLUSTERED_BENCHES)
+def test_fast_forward_is_bit_identical_on_clustered_meshes(name):
+    compiler = VoltronCompiler(build(name).program)
+    for machine_name, config in CLUSTERED_MACHINES:
+        for strategy in ("ilp", "hybrid"):
+            compiled = compiler.compile(strategy, config)
+            fast = VoltronMachine(compiled, config, fast_forward=True)
+            slow = VoltronMachine(compiled, config, fast_forward=False)
+            cell = f"{name} [{machine_name} {strategy}]"
+            assert fast.run().to_dict() == slow.run().to_dict(), (
+                f"{cell}: fast-forwarded stats diverged from single-stepped "
+                "stats"
+            )
+            assert fast.final_memory() == slow.final_memory(), (
+                f"{cell}: fast-forwarded memory image diverged"
+            )
+
+
 # -- the faulted leg -------------------------------------------------------------
 
 FAULTED_BENCHES = ("052.alvinn", "171.swim", "179.art", "epic", "gsmdecode")
@@ -81,16 +122,8 @@ FAULT_PROFILES = {
 }
 
 
-def _vlink_mesh16():
-    config = resolve_machine("mesh16-directory")
-    return dataclasses.replace(
-        config,
-        network=dataclasses.replace(config.network, queue_policy="vlink"),
-    )
-
-
 FAULTED_MACHINES = (("four", resolve_machine("four")),
-                    ("mesh16-directory/vlink", _vlink_mesh16()))
+                    ("mesh16-directory/vlink", _vlink("mesh16-directory")))
 
 
 def _faulted_pair(compiled, config, fault_config, obs=None):

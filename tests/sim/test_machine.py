@@ -275,6 +275,21 @@ class TestModeSwitchAndThreads:
         machine = run(self._dual_mode_program(), two_core())
         assert machine.stats.cores[1].stalls["idle"] > 0
 
+    def test_sleep_resets_fetch_marker(self):
+        """SLEEP redirects the core to its LISTEN slot and, like any
+        redirect (``Core.jump``), must clear the fetch marker: the next
+        wake-up re-fetches that slot even when it was the last one
+        fetched."""
+        machine = VoltronMachine(self._dual_mode_program(), two_core())
+        core = machine.cores[1]
+        core.jump("park")
+        park = core.frame.block
+        assert core.take_fetch() == park.base_addr  # LISTEN fetched
+        core.listen_return = (park, 0)
+        machine._do_sleep(core, op(Opcode.SLEEP))
+        assert core.position() == ("main", "park", 0)
+        assert core.take_fetch() == park.base_addr
+
     def test_deadlock_detected_when_all_listen(self):
         blocks = {
             0: [

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.isa.machinecode import CoreBlock, CoreFunction
+from repro.arch import single_core
+from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
+from repro.isa.program import Function, Program
+from repro.sim import VoltronMachine
 from repro.sim.core import Core
 from repro.sim.stats import STALL_CATEGORIES, CoreStats, MachineStats
 
@@ -79,6 +82,18 @@ def _core_with_block(slots, label="entry"):
     return core, cf
 
 
+def _one_core_machine(slots):
+    """A single-stepped one-core machine running one hand-built block."""
+    program = Program("hand")
+    program.add_function(Function("main"))
+    program.function("main").add_block("entry")
+    compiled = CompiledProgram(program, 1)
+    cf = CoreFunction("main", "entry")
+    cf.add_block(CoreBlock("entry", slots=slots))
+    compiled.add_function(0, cf)
+    return VoltronMachine(compiled, single_core(), fast_forward=False)
+
+
 class TestCoreState:
     def test_position_and_advance(self):
         core, _ = _core_with_block([make_op(Opcode.NOP), make_op(Opcode.NOP)])
@@ -91,24 +106,38 @@ class TestCoreState:
     def test_jump_resets_fetch_marker(self):
         core, cf = _core_with_block([make_op(Opcode.NOP)])
         cf.add_block(CoreBlock("next", slots=[make_op(Opcode.NOP)]))
-        core.mark_fetched()
-        assert not core.needs_fetch()
+        assert core.take_fetch() is not None
+        assert core.take_fetch() is None  # already fetched
         core.jump("next")
-        assert core.needs_fetch()
+        assert core.take_fetch() is not None
         assert core.position() == ("main", "next", 0)
 
     def test_scoreboard_gates_sources(self):
-        core, _ = _core_with_block([make_op(Opcode.NOP)])
-        r = Reg(RegFile.GPR, 0)
-        op = make_op(Opcode.ADD, [Reg(RegFile.GPR, 1)], [r, Imm(1)])
-        core.write_reg(r, 7, ready=10)
-        assert not core.srcs_ready(op, 5)
-        assert core.srcs_ready(op, 10)
+        """MUL's result is ready three cycles after issue: the dependent
+        ADD stalls on the scoreboard until then, and the kernel's stamp
+        names that ready cycle as the stall's release."""
+        r0, r1 = Reg(RegFile.GPR, 0), Reg(RegFile.GPR, 1)
+        machine = _one_core_machine([
+            make_op(Opcode.MUL, [r0], [Imm(3), Imm(4)]),
+            make_op(Opcode.ADD, [r1], [r0, Imm(1)]),
+            make_op(Opcode.HALT),
+        ])
+        machine.run()
+        core = machine.cores[0]
+        assert core.regs.read(r1) == 13
+        assert core.stats.stalls["latency"] == 2
+        cycle, category, release = core.stall_stamp
+        assert category == "latency"
+        assert release == core.reg_ready[r0] == cycle + 1
 
     def test_immediates_always_ready(self):
-        core, _ = _core_with_block([make_op(Opcode.NOP)])
-        op = make_op(Opcode.ADD, [Reg(RegFile.GPR, 1)], [Imm(1), Imm(2)])
-        assert core.srcs_ready(op, 0)
+        machine = _one_core_machine([
+            make_op(Opcode.ADD, [Reg(RegFile.GPR, 1)], [Imm(1), Imm(2)]),
+            make_op(Opcode.HALT),
+        ])
+        machine.run()
+        assert machine.cores[0].stats.stalls["latency"] == 0
+        assert machine.cores[0].stall_stamp is None
 
     def test_block_until_keeps_latest(self):
         core, _ = _core_with_block([make_op(Opcode.NOP)])
