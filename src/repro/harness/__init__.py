@@ -2,6 +2,7 @@
 
 from .cache import (
     CACHE_VERSION,
+    ProgramKey,
     ResultCache,
     cache_key,
     program_fingerprint,
@@ -39,6 +40,7 @@ __all__ = [
     "FailureSummary",
     "JOURNAL_VERSION",
     "JournalReplay",
+    "ProgramKey",
     "ResultCache",
     "RunJournal",
     "RunResult",

@@ -10,6 +10,12 @@ sha256 (rather than Python's per-process randomized ``hash()``) keeps
 keys stable across processes, so parallel workers and later invocations
 share one cache.
 
+A key is a per-program prefix (the version tag and the fingerprint) plus
+a per-cell suffix.  :class:`ProgramKey` renders a program's fingerprint
+once, on first use, and every cell and reference key of that program
+hashes on from the rendered prefix; the runner keeps one per program, so
+it renders each program once however many cells it keys.
+
 Each entry is one JSON file ``<key>.json`` under the cache root, written
 atomically (temp file + rename) so concurrent workers never observe a
 torn entry.  Entries are wrapped in a ``{"cache_version", "payload"}``
@@ -59,8 +65,45 @@ def program_fingerprint(program: Program) -> str:
     return "\n".join(lines)
 
 
+class ProgramKey:
+    """The key-derivation state of one program: the sha256 state after
+    the cell prefix ``v<CACHE_VERSION>\\n<fingerprint>`` and the finished
+    reference key.  The fingerprint is rendered lazily, by whichever of
+    :func:`cache_key` and :func:`reference_key` comes first, and only its
+    hashes are kept.  Valid while the program is unchanged -- compiling
+    and simulating never mutate it."""
+
+    __slots__ = ("_program", "_prefix", "_reference")
+
+    def __init__(self, program: Program) -> None:
+        self._program: Optional[Program] = program
+        self._prefix: Any = None
+        self._reference = ""
+
+    def _render(self) -> None:
+        if self._program is None:
+            return
+        text = program_fingerprint(self._program).encode()
+        self._program = None
+        self._prefix = hashlib.sha256(f"v{CACHE_VERSION}\n".encode())
+        self._prefix.update(text)
+        reference = hashlib.sha256(f"v{CACHE_VERSION} reference\n".encode())
+        reference.update(text)
+        self._reference = reference.hexdigest()
+
+    def cell_prefix(self) -> Any:
+        """A fresh copy of the hash state after the cell prefix."""
+        self._render()
+        return self._prefix.copy()
+
+    @property
+    def reference(self) -> str:
+        self._render()
+        return self._reference
+
+
 def cache_key(
-    program: Program,
+    program_key: ProgramKey,
     config: MachineConfig,
     seed: int,
     strategy: str,
@@ -71,9 +114,7 @@ def cache_key(
     dataclass tree, so its repr is a complete, stable rendering.  ``extra``
     folds in any additional run-shaping state (e.g. a fault-injection
     configuration) so perturbed runs never share entries with clean ones."""
-    digest = hashlib.sha256()
-    digest.update(f"v{CACHE_VERSION}\n".encode())
-    digest.update(program_fingerprint(program).encode())
+    digest = program_key.cell_prefix()
     digest.update(f"\nconfig {config!r}".encode())
     digest.update(f"\nseed {seed} strategy {strategy} "
                   f"max_cycles {max_cycles}".encode())
@@ -82,13 +123,10 @@ def cache_key(
     return digest.hexdigest()
 
 
-def reference_key(program: Program) -> str:
+def reference_key(program_key: ProgramKey) -> str:
     """Cache key for the reference interpreter's output arrays: they
     depend only on the program itself, not on any machine or strategy."""
-    digest = hashlib.sha256()
-    digest.update(f"v{CACHE_VERSION} reference\n".encode())
-    digest.update(program_fingerprint(program).encode())
-    return digest.hexdigest()
+    return program_key.reference
 
 
 def fsync_path(path: Path) -> None:

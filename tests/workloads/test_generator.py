@@ -8,7 +8,7 @@ workloads share the content-hash result cache with named benchmarks.
 
 import pytest
 
-from repro.harness.cache import cache_key, program_fingerprint
+from repro.harness.cache import ProgramKey, cache_key, program_fingerprint
 from repro.harness.experiments import ExperimentRunner
 from repro.workloads.generator import (
     DEFAULT_KNOBS,
@@ -145,7 +145,7 @@ class TestCacheKeyStability:
         handle = make_handle(33)
         runner = ExperimentRunner(benchmarks=[handle])
         expected = cache_key(
-            build_generated(handle).program,
+            ProgramKey(build_generated(handle).program),
             runner.machine_config(4),
             runner.seed,
             "hybrid",
