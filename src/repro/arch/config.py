@@ -8,7 +8,7 @@ direct-mode network latency of 1 cycle/hop, queue-mode latency of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 
@@ -70,20 +70,14 @@ class MachineConfig:
 
     n_cores: int = 4
     mesh_shape: Tuple[int, int] = (2, 2)
-    l1d: CacheConfig = field(
-        default_factory=lambda: CacheConfig(size_words=1024, associativity=2)
-    )
-    l1i: CacheConfig = field(
-        default_factory=lambda: CacheConfig(size_words=1024, associativity=2)
-    )
-    l2: CacheConfig = field(
-        default_factory=lambda: CacheConfig(
-            size_words=32768, associativity=4, hit_latency=7
-        )
-    )
+    # The sub-configs are frozen, so every machine can share one default
+    # instance of each instead of building its own.
+    l1d: CacheConfig = CacheConfig(size_words=1024, associativity=2)
+    l1i: CacheConfig = CacheConfig(size_words=1024, associativity=2)
+    l2: CacheConfig = CacheConfig(size_words=32768, associativity=4, hit_latency=7)
     memory_latency: int = 100
     l2_banks: int = 4
-    network: NetworkConfig = field(default_factory=NetworkConfig)
+    network: NetworkConfig = NetworkConfig()
     coupled_group_size: int = 4  # stall bus reaches at most 4 cores (Sec. 3.2)
     tm_commit_latency: int = 4  # low-cost TM commit check
     i_fetch_words_per_op: int = 1
