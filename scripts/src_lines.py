@@ -6,6 +6,9 @@
   docstrings (module, class and function) do not count.  A line that
   carries code and a trailing comment counts once.
 
+It prints both totals, then the five largest modules by net lines
+with their net and code lines.
+
 Usage (from the repository root; the directory defaults to ``src``)::
 
     python scripts/src_lines.py [SRC_DIR]
@@ -18,7 +21,7 @@ import io
 import sys
 import tokenize
 from pathlib import Path
-from typing import Tuple
+from typing import List, Tuple
 
 _SKIPPED = (
     tokenize.COMMENT,
@@ -60,18 +63,31 @@ def count(source: str) -> Tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
+#: How many of the largest modules ``main`` lists.
+LARGEST = 5
+
+
+def tally(root: Path) -> List[Tuple[str, int, int]]:
+    """(path relative to ``root``, net lines, code lines) per module."""
+    return [
+        (path.relative_to(root).as_posix(), *count(path.read_text(encoding="utf-8")))
+        for path in sorted(root.rglob("*.py"))
+    ]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0] if args else "src")
-    files = sorted(root.rglob("*.py"))
-    net = code = 0
-    for path in files:
-        file_net, file_code = count(path.read_text(encoding="utf-8"))
-        net += file_net
-        code += file_code
-    print(f"files : {len(files)} under {root}")
-    print(f"net   : {net} lines")
-    print(f"code  : {code} lines (no blanks, comments or docstrings)")
+    modules = tally(root)
+    print(f"files : {len(modules)} under {root}")
+    print(f"net   : {sum(net for _, net, _ in modules)} lines")
+    print(
+        f"code  : {sum(code for _, _, code in modules)} lines "
+        "(no blanks, comments or docstrings)"
+    )
+    print(f"largest {LARGEST} (net / code lines):")
+    for path, net, code in sorted(modules, key=lambda m: -m[1])[:LARGEST]:
+        print(f"  {net:6d} / {code:5d}  {path}")
     return 0
 
 

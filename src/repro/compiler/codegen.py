@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..arch.config import MachineConfig
 from ..arch.mesh import Mesh
@@ -32,7 +32,6 @@ from ..isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from ..isa.operations import (
     Imm,
     Opcode,
-    Operand,
     Operation,
     Reg,
     RegFile,
@@ -48,7 +47,7 @@ from .comm import (
     send_value,
 )
 from .dependence import memory_dependences
-from .dfg import build_block_dfg, carried_register_edges
+from .dfg import CARRIED, build_block_dfg, carried_memory_pairs, carried_register_edges
 from .doall import COMBINABLE, DoallPlan
 from .loops import split_loop_latch
 from .partition.bug import BugPartitioner
@@ -93,7 +92,6 @@ class PlannedBlock:
     taken: Optional[str] = None
     fall: Optional[str] = None
     cores_present: Optional[Set[int]] = None  # None = every core
-    per_core_taken: Dict[int, Optional[str]] = field(default_factory=dict)
     per_core_fall: Dict[int, Optional[str]] = field(default_factory=dict)
     no_transfers: bool = False  # DOALL-internal blocks are pre-wired
     #: (reg, source core) candidates forwarded before this block's barrier.
@@ -101,9 +99,6 @@ class PlannedBlock:
 
     def present_on(self, core: int) -> bool:
         return self.cores_present is None or core in self.cores_present
-
-    def taken_for(self, core: int) -> Optional[str]:
-        return self.per_core_taken.get(core, self.taken)
 
     def fall_for(self, core: int) -> Optional[str]:
         return self.per_core_fall.get(core, self.fall)
@@ -126,7 +121,6 @@ class Codegen:
         # simulator charges the cluster-level stall network's
         # propagation penalty, so the compiler needs no special casing.
         self.program = program
-        self.config = config
         self.n_cores = config.n_cores
         rows, cols = config.mesh_shape
         self.mesh = Mesh(rows, cols, config.n_cores)
@@ -156,7 +150,6 @@ class Codegen:
     # -- per-function lowering -------------------------------------------------------
 
     def _lower_function(self, function: Function, compiled: CompiledProgram) -> None:
-        self._current_function = function
         regions = select_regions(
             self.program, function, self.profile, self.n_cores, self.strategy,
             ids=self._region_ids,
@@ -171,41 +164,36 @@ class Codegen:
         #: Per-region local register use maps (for in-region transfers).
         self._region_uses: Dict[int, Dict[Reg, Set[int]]] = {}
 
-        def add(block: PlannedBlock) -> PlannedBlock:
+        def add(block: PlannedBlock) -> None:
             if block.label in planned:
                 raise LoweringError(f"duplicate planned block {block.label}")
             planned[block.label] = block
             order.append(block.label)
-            return block
 
         for block in function.ordered_blocks():
             region = region_by_block.get(block.label)
             if region is None:
-                add(self._plan_coupled_block(function, block))
+                add(self._plan_coupled_block(block))
                 continue
-            derived = self._plan_region(function, block, region)
-            for planned_block in derived:
+            for planned_block in self._plan_region(function, block, region):
                 add(planned_block)
-            if block.label == entry:
-                entry = f"R{region.rid}_enter"
-            for fn_label in derived:
-                self.region_table[(function.name, fn_label.label)] = {
+                self.region_table[(function.name, planned_block.label)] = {
                     "rid": region.rid,
                     "strategy": region.strategy,
                     "origin": region.block,
                 }
+            if block.label == entry:
+                entry = f"R{region.rid}_enter"
 
         self._rewire_region_entries(planned, regions)
-        use_all, use_by_region = self._collect_uses(planned)
+        use_all = self._collect_uses(planned)
         for block in planned.values():
-            self._insert_transfers(block, use_all, use_by_region)
+            self._insert_transfers(block, use_all)
         self._assemble(function, planned, order, entry, compiled)
 
     # -- coupled fabric ---------------------------------------------------------------
 
-    def _fabric_partition(
-        self, function: Function, ops: Sequence[Operation]
-    ) -> Dict[int, int]:
+    def _fabric_partition(self, ops: Sequence[Operation]) -> Dict[int, int]:
         """Core assignment for a coupled block's computational ops."""
         if self.serial_fabric or self.n_cores == 1 or not ops:
             return {op.uid: 0 for op in ops}
@@ -216,32 +204,29 @@ class Codegen:
         partitioner = BugPartitioner(self.mesh, self.n_cores)
         return partitioner.partition(graph).assignment
 
-    def _plan_coupled_block(
-        self, function: Function, block: BasicBlock, label: Optional[str] = None
-    ) -> PlannedBlock:
+    def _plan_coupled_block(self, block: BasicBlock) -> PlannedBlock:
         computational = [
             op for op in block.ops if op.opcode not in REPLICATED_CONTROL
         ]
-        assignment = self._fabric_partition(function, computational)
+        assignment = self._fabric_partition(computational)
         flat: List[Operation] = []
         for op in block.ops:
             if op.opcode in REPLICATED_CONTROL:
                 flat.extend(self._replicate(op))
             else:
                 flat.append(_clone(op, assignment[op.uid]))
-        planned = PlannedBlock(
-            label=label or block.label,
+        return PlannedBlock(
+            label=block.label,
             mode="coupled",
             region=0,
             ops=flat,
             taken=block.taken,
             fall=block.fall,
         )
-        return planned
 
-    def _replicate(self, op: Operation, align: bool = True) -> List[Operation]:
+    def _replicate(self, op: Operation) -> List[Operation]:
         """One clone per core; BR/CALL/RET/HALT clones co-issue."""
-        align_id = fresh_align_id() if align and op.opcode is not Opcode.PBR else None
+        align_id = fresh_align_id() if op.opcode is not Opcode.PBR else None
         clones = []
         for core in range(self.n_cores):
             clone = _clone(op, core, replicated=True)
@@ -251,17 +236,11 @@ class Codegen:
         return clones
 
     def _mode_switch_block(
-        self,
-        label: str,
-        target_mode: str,
-        region: int,
-        cores: Optional[Set[int]] = None,
+        self, label: str, target_mode: str, region: int
     ) -> PlannedBlock:
         align_id = fresh_align_id() if target_mode == "decoupled" else None
         ops = []
         for core in range(self.n_cores):
-            if cores is not None and core not in cores:
-                continue
             op = _mk(Opcode.MODE_SWITCH, core, mode=target_mode)
             op.attrs["replicated"] = True
             if align_id is not None:
@@ -270,9 +249,7 @@ class Codegen:
         # The block *entering* decoupled mode executes in coupled mode;
         # the barrier back runs decoupled.
         mode = "coupled" if target_mode == "decoupled" else "decoupled"
-        return PlannedBlock(
-            label=label, mode=mode, region=region, ops=ops, cores_present=cores
-        )
+        return PlannedBlock(label=label, mode=mode, region=region, ops=ops)
 
     # -- region planning ------------------------------------------------------------
 
@@ -289,10 +266,37 @@ class Codegen:
 
     # ...... strands (eBUG) and DSWP share most machinery ......................
 
-    def _latch_split(
-        self, function: Function, block: BasicBlock, region: Region
-    ) -> Tuple[List[Operation], List[Operation], bool]:
-        return split_loop_latch(block, region.loop)
+    @staticmethod
+    def _split_loop(block: BasicBlock, region: Region) -> Tuple[
+        List[Operation], List[Operation], bool,
+        Dict[Reg, Tuple[Operation, List[Operation]]],
+    ]:
+        """(body, latch, replicate_latch, carried registers) of a region
+        block.  A replicated latch recomputes the induction on every core,
+        so the induction is not a carried value."""
+        body, latch, replicate_latch = split_loop_latch(block, region.loop)
+        exclude = {region.loop.induction.reg} if replicate_latch else set()
+        carried = carried_register_edges(block.ops, exclude=exclude)
+        return body, latch, replicate_latch, carried
+
+    @staticmethod
+    def _clone_latch(
+        latch: Sequence[Operation],
+        replicate_latch: bool,
+        assignment: Dict[int, int],
+        participants: Sequence[int],
+    ) -> List[Operation]:
+        """Latch: replicate per participant (counted loops) or communicate
+        the predicate (the def-site rule handles the SEND/RECV)."""
+        clones: List[Operation] = []
+        for op in latch:
+            if op.opcode in (Opcode.PBR, Opcode.BR) or replicate_latch:
+                clones.extend(
+                    _clone(op, core, replicated=True) for core in participants
+                )
+            else:
+                clones.append(_clone(op, assignment.get(op.uid, participants[0])))
+        return clones
 
     def _record_region_use(self, rid: int, op: Operation) -> None:
         table = self._region_uses.setdefault(rid, {})
@@ -304,12 +308,12 @@ class Codegen:
     ) -> List[PlannedBlock]:
         rid = region.rid
         is_loop = region.loop is not None
-        body, latch, replicate_latch = self._latch_split(function, block, region)
-
-        induction_regs: Set[Reg] = set()
-        if replicate_latch and region.loop and region.loop.induction:
-            induction_regs = {region.loop.induction.reg}
-        carried = carried_register_edges(block.ops, exclude=induction_regs)
+        if not is_loop and block.taken is not None:
+            raise LoweringError(
+                "strand blocks with conditional exits are not supported; "
+                f"{function.name}:{block.label} has a taken edge"
+            )
+        body, latch, replicate_latch, carried = self._split_loop(block, region)
         graph = build_block_dfg(self.program, block.ops, carried_regs=carried)
         self._add_carried_memory(graph, block.ops)
 
@@ -327,26 +331,15 @@ class Codegen:
         participant_set = set(participants)
 
         flat: List[Operation] = []
-        clone_of: Dict[int, Operation] = {}
         for op in body:
             if op.opcode is Opcode.CALL:
                 for core in participants:
                     flat.append(_clone(op, core, replicated=True))
-                continue
-            clone = _clone(op, assignment[op.uid])
-            clone_of[op.uid] = clone
-            flat.append(clone)
-        # Latch: replicate per participant (counted loops) or communicate
-        # the predicate (the def-site rule handles the SEND/RECV).
-        for op in latch:
-            if op.opcode in (Opcode.PBR, Opcode.BR) or replicate_latch:
-                for core in participants:
-                    clone = _clone(op, core, replicated=True)
-                    flat.append(clone)
             else:
-                clone = _clone(op, assignment.get(op.uid, participants[0]))
-                clone_of[op.uid] = clone
-                flat.append(clone)
+                flat.append(_clone(op, assignment[op.uid]))
+        flat.extend(
+            self._clone_latch(latch, replicate_latch, assignment, participants)
+        )
 
         self._check_no_cross_core_carried(carried, assignment)
         self._insert_memory_sync(function, flat)
@@ -363,20 +356,10 @@ class Codegen:
             fall=f"R{rid}_exit",
             cores_present=participant_set,
         )
-        if not is_loop and block.taken is not None:
-            raise LoweringError(
-                "strand blocks with conditional exits are not supported; "
-                f"{function.name}:{block.label} has a taken edge"
-            )
-
-        enter = self._mode_switch_block(f"R{rid}_enter", "decoupled", rid)
-        for core in range(self.n_cores):
-            enter.per_core_fall[core] = (
-                block.label if core in participant_set else f"R{rid}_exit"
-            )
-        exit_block = self._mode_switch_block(f"R{rid}_exit", "coupled", rid)
-        exit_block.fall = self._region_successor(function, block, region)
-        exit_block.liveouts = self._region_liveout_candidates(flat)
+        enter = self._enter_block(rid, block.label, participant_set)
+        exit_block = self._exit_block(
+            block, region, self._region_liveout_candidates(flat)
+        )
         return [enter, body_block, exit_block]
 
     def _plan_pipelined(
@@ -385,7 +368,7 @@ class Codegen:
         rid = region.rid
         dswp = region.dswp
         assert dswp is not None and region.loop is not None
-        body, latch, replicate_latch = self._latch_split(function, block, region)
+        body, latch, replicate_latch, carried = self._split_loop(block, region)
 
         assignment: Dict[int, int] = {}
         for op in body:
@@ -397,13 +380,7 @@ class Codegen:
         participants = sorted(set(assignment.values())) or [0]
         participant_set = set(participants)
 
-        induction_regs: Set[Reg] = set()
-        if replicate_latch and region.loop.induction is not None:
-            induction_regs = {region.loop.induction.reg}
-        carried = carried_register_edges(block.ops, exclude=induction_regs)
-
         flat: List[Operation] = []
-        clone_of: Dict[int, Operation] = {}
 
         # Loop-carried values crossing stages: receive at the top of each
         # iteration (matching the previous iteration's post-definition
@@ -425,65 +402,53 @@ class Codegen:
                 )
 
         for op in body:
-            clone = _clone(op, assignment[op.uid])
-            clone_of[op.uid] = clone
-            flat.append(clone)
+            flat.append(_clone(op, assignment[op.uid]))
             for reg, src, dst in carried_channels:
                 if op is carried[reg][0]:
                     flat.append(send_value(src, dst, reg, tag=f"carried_{reg}"))
-
-        for op in latch:
-            if op.opcode in (Opcode.PBR, Opcode.BR) or replicate_latch:
-                for core in participants:
-                    flat.append(_clone(op, core, replicated=True))
-            else:
-                flat.append(_clone(op, assignment.get(op.uid, participants[0])))
+        flat.extend(
+            self._clone_latch(latch, replicate_latch, assignment, participants)
+        )
 
         self._insert_memory_sync(function, flat)
         for op in flat:
             self._record_region_use(rid, op)
 
-        blocks: List[PlannedBlock] = []
-        enter = self._mode_switch_block(f"R{rid}_enter", "decoupled", rid)
-        blocks.append(enter)
-
-        first_label = block.label
+        first_label = f"R{rid}_pro" if carried_channels else block.label
+        blocks = [self._enter_block(rid, first_label, participant_set)]
         if carried_channels:
-            prologue = PlannedBlock(
-                label=f"R{rid}_pro",
+            blocks.append(
+                PlannedBlock(
+                    label=first_label,
+                    mode="decoupled",
+                    region=rid,
+                    ops=[
+                        send_value(src, dst, reg, tag=f"carried_{reg}")
+                        for reg, src, dst in carried_channels
+                    ],
+                    fall=block.label,
+                    cores_present=participant_set,
+                )
+            )
+            self._extra_uses.extend(
+                (reg, src) for reg, src, _dst in carried_channels
+            )
+
+        blocks.append(
+            PlannedBlock(
+                label=block.label,
                 mode="decoupled",
                 region=rid,
-                ops=[
-                    send_value(src, dst, reg, tag=f"carried_{reg}")
-                    for reg, src, dst in carried_channels
-                ],
-                fall=block.label,
+                ops=flat,
+                taken=block.taken,
+                fall=f"R{rid}_exit",
                 cores_present=participant_set,
             )
-            for reg, src, dst in carried_channels:
-                self._extra_uses.append((reg, src))
-            blocks.append(prologue)
-            first_label = prologue.label
-
-        for core in range(self.n_cores):
-            enter.per_core_fall[core] = (
-                first_label if core in participant_set else f"R{rid}_exit"
-            )
-
-        body_block = PlannedBlock(
-            label=block.label,
-            mode="decoupled",
-            region=rid,
-            ops=flat,
-            taken=block.taken,
-            fall=f"R{rid}_exit",
-            cores_present=participant_set,
         )
-        blocks.append(body_block)
 
-        exit_block = self._mode_switch_block(f"R{rid}_exit", "coupled", rid)
-        exit_block.fall = self._region_successor(function, block, region)
-        exit_block.liveouts = self._region_liveout_candidates(flat)
+        exit_block = self._exit_block(
+            block, region, self._region_liveout_candidates(flat)
+        )
         # Drain the final carried sends so the queues stay balanced (and
         # deliver the final value as a live-out for free).
         drains = [
@@ -514,9 +479,7 @@ class Codegen:
             for acc in plan.accumulators
         }
 
-        enter = self._mode_switch_block(f"R{rid}_enter", "decoupled", rid)
-        for core in range(n):
-            enter.per_core_fall[core] = f"R{rid}_pro"
+        enter = self._enter_block(rid, f"R{rid}_pro", range(n))
 
         # Dispatch: core 0 spawns the chunk threads; others listen.
         pro_ops: List[Operation] = [
@@ -548,9 +511,7 @@ class Codegen:
         # open the transaction, pre-test emptiness.
         chunk_ops: List[Operation] = []
         for core in range(n):
-            chunk_ops.extend(
-                self._chunk_bounds_ops(plan, core, n, ind, hi)
-            )
+            chunk_ops.extend(self._chunk_bounds_ops(plan, core, n, ind, hi, regs))
             for acc in plan.accumulators:
                 priv = acc_priv[acc.reg]
                 identity = acc.identity() if acc.opcode is not Opcode.AND else -1
@@ -620,7 +581,6 @@ class Codegen:
 
         # Commit: finish the transaction; workers report partials and sleep.
         commit_ops: List[Operation] = []
-        partial_regs: Dict[Tuple[int, Reg], Reg] = {}
         for core in range(n):
             commit_ops.append(_mk(Opcode.TX_COMMIT, core))
         for core in range(1, n):
@@ -681,11 +641,9 @@ class Codegen:
             no_transfers=True,
         )
 
-        exit_block = self._mode_switch_block(f"R{rid}_exit", "coupled", rid)
-        exit_block.fall = self._region_successor(function, block, region)
-        exit_block.liveouts = [(acc.reg, 0) for acc in plan.accumulators] + [
-            (ind, 0)
-        ]
+        exit_block = self._exit_block(
+            block, region, [(acc.reg, 0) for acc in plan.accumulators] + [(ind, 0)]
+        )
 
         # Register the body's live-in reads so upstream defs broadcast to
         # every chunk core (the induction and bound reach all cores too).
@@ -695,8 +653,9 @@ class Codegen:
 
         return [enter, pro, chunk, body, commit, join, exit_block]
 
+    @staticmethod
     def _chunk_bounds_ops(
-        self, plan: DoallPlan, core: int, n: int, ind: Reg, hi: Reg
+        plan: DoallPlan, core: int, n: int, ind: Reg, hi: Reg, regs
     ) -> List[Operation]:
         """Set ``ind = lo_core`` and ``hi = hi_core`` on ``core``."""
         step = plan.step
@@ -713,31 +672,32 @@ class Codegen:
         bound = plan.induction.bound
         assert bound is not None
         ops: List[Operation] = []
-        t_span = self._tmp(core)
+        t_span = regs.gpr()
         ops.append(_mk(Opcode.SUB, core, [t_span], [bound, ind]))
-        t1 = self._tmp(core)
+        t1 = regs.gpr()
         ops.append(_mk(Opcode.ADD, core, [t1], [t_span, Imm(step - 1)]))
-        t_iters = self._tmp(core)
+        t_iters = regs.gpr()
         ops.append(_mk(Opcode.DIV, core, [t_iters], [t1, Imm(step)]))
-        t2 = self._tmp(core)
+        t2 = regs.gpr()
         ops.append(_mk(Opcode.ADD, core, [t2], [t_iters, Imm(n - 1)]))
-        t_per = self._tmp(core)
+        t_per = regs.gpr()
         ops.append(_mk(Opcode.DIV, core, [t_per], [t2, Imm(n)]))
-        t_sz = self._tmp(core)
+        t_sz = regs.gpr()
         ops.append(_mk(Opcode.MUL, core, [t_sz], [t_per, Imm(step)]))
-        t_off = self._tmp(core)
+        t_off = regs.gpr()
         ops.append(_mk(Opcode.MUL, core, [t_off], [t_sz, Imm(core)]))
-        t_lo = self._tmp(core)
+        t_lo = regs.gpr()
         ops.append(_mk(Opcode.ADD, core, [t_lo], [ind, t_off]))
-        t_hi0 = self._tmp(core)
+        t_hi0 = regs.gpr()
         ops.append(_mk(Opcode.ADD, core, [t_hi0], [t_lo, t_sz]))
-        pred = self._tmp_pr(core)
+        pred = regs.pr()
         ops.append(_mk(Opcode.CMP_LT, core, [pred], [t_hi0, bound]))
         ops.append(_mk(Opcode.SELECT, core, [hi], [pred, t_hi0, bound]))
         ops.append(_mk(Opcode.MOV, core, [ind], [t_lo]))
         return ops
 
-    def _final_induction_ops(self, plan, ind: Reg, saved_start: Reg, regs):
+    @staticmethod
+    def _final_induction_ops(plan, ind: Reg, saved_start: Reg, regs):
         """Core 0 computes the induction's final value (its serial value
         after the last iteration)."""
         step = plan.step
@@ -747,23 +707,16 @@ class Codegen:
             return [_mk(Opcode.MOV, 0, [ind], [Imm(start + total * step)])]
         bound = plan.induction.bound
         ops = []
-        t_span = self._tmp(0)
+        t_span = regs.gpr()
         ops.append(_mk(Opcode.SUB, 0, [t_span], [bound, saved_start]))
-        t1 = self._tmp(0)
+        t1 = regs.gpr()
         ops.append(_mk(Opcode.ADD, 0, [t1], [t_span, Imm(step - 1)]))
-        t_iters = self._tmp(0)
+        t_iters = regs.gpr()
         ops.append(_mk(Opcode.DIV, 0, [t_iters], [t1, Imm(step)]))
-        t_total = self._tmp(0)
+        t_total = regs.gpr()
         ops.append(_mk(Opcode.MUL, 0, [t_total], [t_iters, Imm(step)]))
         ops.append(_mk(Opcode.ADD, 0, [ind], [saved_start, t_total]))
         return ops
-
-    def _tmp(self, core: int) -> Reg:
-        function = self._current_function
-        return function.regs.gpr()
-
-    def _tmp_pr(self, core: int) -> Reg:
-        return self._current_function.regs.pr()
 
     @staticmethod
     def _rewrite_accumulator(clone: Operation, acc_priv: Dict[Reg, Reg]) -> None:
@@ -774,9 +727,31 @@ class Codegen:
 
     # ...... shared region helpers .............................................
 
-    def _region_successor(
-        self, function: Function, block: BasicBlock, region: Region
-    ) -> str:
+    def _enter_block(
+        self, rid: int, first: str, participants: Collection[int]
+    ) -> PlannedBlock:
+        """The switch into decoupled mode: participants fall into
+        ``first``, every other core straight to the exit barrier."""
+        enter = self._mode_switch_block(f"R{rid}_enter", "decoupled", rid)
+        for core in range(self.n_cores):
+            enter.per_core_fall[core] = (
+                first if core in participants else f"R{rid}_exit"
+            )
+        return enter
+
+    def _exit_block(
+        self, block: BasicBlock, region: Region, liveouts: List[Tuple[Reg, int]]
+    ) -> PlannedBlock:
+        """The barrier back to coupled mode, forwarding ``liveouts``."""
+        exit_block = self._mode_switch_block(
+            f"R{region.rid}_exit", "coupled", region.rid
+        )
+        exit_block.fall = self._region_successor(block, region)
+        exit_block.liveouts = liveouts
+        return exit_block
+
+    @staticmethod
+    def _region_successor(block: BasicBlock, region: Region) -> str:
         if region.loop is not None:
             if region.loop.exit is None:
                 raise LoweringError(f"loop at {block.label} has no unique exit")
@@ -799,7 +774,8 @@ class Codegen:
                 last_def[reg] = op.core
         return sorted(last_def.items(), key=lambda item: repr(item[0]))
 
-    def _check_no_cross_core_carried(self, carried, assignment) -> None:
+    @staticmethod
+    def _check_no_cross_core_carried(carried, assignment) -> None:
         for reg, (definition, users) in carried.items():
             src = assignment.get(definition.uid)
             for user in users:
@@ -811,8 +787,6 @@ class Codegen:
                     )
 
     def _add_carried_memory(self, graph, ops) -> None:
-        from .dfg import CARRIED, carried_memory_pairs
-
         for a, b in carried_memory_pairs(self.program, ops):
             if a is not b:
                 graph.add_edge(b, a, CARRIED, delay=1)
@@ -839,16 +813,14 @@ class Codegen:
                 continue
             needed.setdefault((earlier.uid, later.core), earlier)
         inserts_after: Dict[int, List[Operation]] = {}
-        inserts_before: Dict[int, List[Operation]] = {}
         for (earlier_uid, dst_core), earlier in needed.items():
-            send, recv = memory_sync_pair(earlier.core, dst_core, function.regs)
-            inserts_after.setdefault(position[earlier_uid], []).append(send)
-            inserts_after[position[earlier_uid]].append(recv)
-        if not inserts_after and not inserts_before:
+            inserts_after.setdefault(position[earlier_uid], []).extend(
+                memory_sync_pair(earlier.core, dst_core, function.regs)
+            )
+        if not inserts_after:
             return
         rebuilt: List[Operation] = []
         for i, op in enumerate(flat):
-            rebuilt.extend(inserts_before.get(i, []))
             rebuilt.append(op)
             rebuilt.extend(inserts_after.get(i, []))
         flat[:] = rebuilt
@@ -870,9 +842,6 @@ class Codegen:
                     block.taken = target
                 if block.fall == label:
                     block.fall = target
-                for core, value in list(block.per_core_taken.items()):
-                    if value == label:
-                        block.per_core_taken[core] = target
                 for core, value in list(block.per_core_fall.items()):
                     if value == label:
                         block.per_core_fall[core] = target
@@ -887,30 +856,22 @@ class Codegen:
 
     def _collect_uses(
         self, planned: Dict[str, PlannedBlock]
-    ) -> Tuple[Dict[Reg, Set[int]], Dict[int, Dict[Reg, Set[int]]]]:
+    ) -> Dict[Reg, Set[int]]:
+        """Function-wide use sites: register -> cores that read it."""
         use_all: Dict[Reg, Set[int]] = {}
-        use_by_region: Dict[int, Dict[Reg, Set[int]]] = {}
         for block in planned.values():
             for op in block.ops:
                 for reg in op.src_regs():
                     use_all.setdefault(reg, set()).add(op.core)
-                    use_by_region.setdefault(block.region, {}).setdefault(
-                        reg, set()
-                    ).add(op.core)
         for reg, core in self._extra_uses:
             if isinstance(reg, Reg):
                 use_all.setdefault(reg, set()).add(core)
-        return use_all, use_by_region
+        return use_all
 
     def _insert_transfers(
-        self,
-        block: PlannedBlock,
-        use_all: Dict[Reg, Set[int]],
-        use_by_region: Dict[int, Dict[Reg, Set[int]]],
+        self, block: PlannedBlock, use_all: Dict[Reg, Set[int]]
     ) -> None:
         rebuilt: List[Operation] = []
-        switch_index: Optional[int] = None
-
         if not block.no_transfers:
             local_uses = (
                 self._region_uses.get(block.region)
@@ -988,8 +949,8 @@ class Codegen:
                     continue
                 core_block = CoreBlock(
                     label=block.label,
-                    slots=list(slots[core]) if core < len(slots) else [],
-                    taken=block.taken_for(core),
+                    slots=list(slots[core]),
+                    taken=block.taken,
                     fall=block.fall_for(core),
                     mode=block.mode,
                     region=block.region,
@@ -997,9 +958,6 @@ class Codegen:
                 core_functions[core].add_block(core_block)
         for core in range(self.n_cores):
             compiled.add_function(core, core_functions[core])
-
-    # Set per function before region planning (used by _tmp helpers).
-    _current_function: Function = None  # type: ignore[assignment]
 
 
 def make_combine(core: int, dest: Reg, src: Reg, opcode: Opcode) -> Operation:

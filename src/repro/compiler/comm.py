@@ -16,15 +16,12 @@ scheduler never reorders ops, so the discipline holds by construction.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..arch.mesh import Mesh, opposite
 from ..isa.operations import Imm, Opcode, Operation, Reg, RegFile, make_op
 from ..isa.registers import RegisterAllocator
 from .schedule import fresh_align_id
-
-_temp_regs = itertools.count()
 
 
 def coupled_transfer(

@@ -14,10 +14,10 @@ dummy SEND/RECV pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.operations import Imm, Opcode, Operand, Operation, Reg
-from ..isa.program import ArraySymbol, Program
+from ..isa.program import Program
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,9 @@ def may_alias(a: SymbolicAddress, b: SymbolicAddress) -> bool:
 
 
 def memory_dependences(
-    program: Program,
-    ops: Sequence[Operation],
-    profile_independent: Optional[Iterable[Tuple[int, int]]] = None,
+    program: Program, ops: Sequence[Operation]
 ) -> List[Tuple[Operation, Operation]]:
-    """Ordered pairs (earlier, later) of memory ops that must stay ordered.
-
-    ``profile_independent`` optionally names uid pairs a memory profile
-    showed never conflicting -- those are still returned (the dependence
-    is only *statistically* absent), but callers exploiting speculation
-    (DOALL) filter on it.
-    """
+    """Ordered pairs (earlier, later) of memory ops that must stay ordered."""
     addresses = analyze_block_addresses(program, ops)
     memory_ops = [op for op in ops if op.is_memory()]
     edges: List[Tuple[Operation, Operation]] = []

@@ -19,10 +19,10 @@ iteration zero; the paper's eBUG likewise favours keeping them together.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ...arch.mesh import Mesh
-from ...isa.operations import Opcode, Operation, Reg
+from ...isa.operations import Opcode, Operation
 from ..dfg import CARRIED, FLOW, MEMORY, DependenceGraph
 from ..profiling import ExecutionProfile
 from .bug import BugPartitioner, _State
@@ -41,17 +41,17 @@ class EBugPartitioner(BugPartitioner):
     memory_dep_weight = 12.0
     #: Penalty when a core holds more than its share of memory ops.
     memory_balance_penalty = 6.0
+    #: Profiled miss rate above which a load counts as likely missing.
+    miss_threshold = 0.05
 
     def __init__(
         self,
         mesh: Mesh,
         profile: Optional[ExecutionProfile] = None,
         n_cores: Optional[int] = None,
-        miss_threshold: float = 0.05,
     ) -> None:
         super().__init__(mesh, n_cores)
         self.profile = profile
-        self.miss_threshold = miss_threshold
 
     # -- eBUG hooks -------------------------------------------------------------
 

@@ -49,7 +49,6 @@ class _Unit:
     # Scheduling state.
     n_preds: int = 0
     earliest: int = 0
-    slot: Optional[int] = None
     height: int = 0
     succs: List[Tuple["_Unit", int]] = field(default_factory=list)
 
@@ -136,15 +135,11 @@ def _prepare(
 ) -> Tuple[List[_Unit], List[_Unit]]:
     """Build units with dependence counts; returns (units, terminator units)."""
     units, unit_of = _build_units(ops)
-    seen_pairs: Set[Tuple[int, int]] = set()
     for src, dst, delay in _dependence_edges(program, ops):
         src_unit, dst_unit = unit_of[src.uid], unit_of[dst.uid]
         if src_unit is dst_unit:
             continue
-        key = (id(src_unit), id(dst_unit))
         src_unit.succs.append((dst_unit, delay))
-        if key not in seen_pairs:
-            seen_pairs.add(key)
         dst_unit.n_preds += 1
 
     # Critical-path heights for priority.
@@ -171,12 +166,11 @@ def schedule_coupled(
 
     slots: List[List[Optional[Operation]]] = [[] for _ in range(n_cores)]
     core_free = [0] * n_cores
-    pending = {id(unit): unit.n_preds for unit in units}
     unscheduled = set(map(id, regular))
     ready = [unit for unit in regular if unit.n_preds == 0]
 
     def place(unit: _Unit, slot: int) -> None:
-        unit.slot = slot
+        # Every core grows with each placement, so all stay one length.
         for core_slots in slots:
             while len(core_slots) <= slot:
                 core_slots.append(None)
@@ -190,8 +184,8 @@ def schedule_coupled(
             core_free[op.core] = max(core_free[op.core], slot + 1)
         for succ, delay in unit.succs:
             succ.earliest = max(succ.earliest, slot + delay)
-            pending[id(succ)] -= 1
-            if pending[id(succ)] == 0 and not succ.is_terminator:
+            succ.n_preds -= 1
+            if succ.n_preds == 0 and not succ.is_terminator:
                 ready.append(succ)
 
     cycle = 0
@@ -202,7 +196,6 @@ def schedule_coupled(
             raise ValueError("coupled scheduler failed to converge")
         # Try to fill this cycle on every core, highest unit first.
         ready.sort(key=lambda unit: (-unit.height, min(unit.cores)))
-        progressed = False
         for unit in list(ready):
             if unit.earliest > cycle:
                 continue
@@ -216,7 +209,6 @@ def schedule_coupled(
             ready.remove(unit)
             unscheduled.discard(id(unit))
             place(unit, cycle)
-            progressed = True
         cycle += 1
 
     # Terminator group: strictly after every other op, aligned on all cores.
@@ -227,11 +219,6 @@ def schedule_coupled(
             + [core_free[core] for core in range(n_cores)]
         )
         place(unit, slot)
-
-    length = max((len(core_slots) for core_slots in slots), default=0)
-    for core_slots in slots:
-        while len(core_slots) < length:
-            core_slots.append(None)
     return slots
 
 
@@ -247,24 +234,22 @@ def schedule_decoupled(
         per_core[op.core].append(op)
 
     slots: List[List[Optional[Operation]]] = []
-    for core, core_ops in enumerate(per_core):
-        earliest: Dict[int, int] = {op.uid: 0 for op in core_ops}
-        core_edges = _dependence_edges(program, core_ops)
-        by_uid = {op.uid: op for op in core_ops}
-        # Terminator goes last on this core.
+    for core_ops in per_core:
+        deps: Dict[int, List[Tuple[int, int]]] = {op.uid: [] for op in core_ops}
+        for src, dst, delay in _dependence_edges(program, core_ops):
+            deps[dst.uid].append((src.uid, delay))
+        # The terminator goes last on this core.
         terminator = next(
             (op for op in core_ops if op.opcode in TERMINATORS), None
         )
-        deps: Dict[int, List[Tuple[int, int]]] = {op.uid: [] for op in core_ops}
-        for src, dst, delay in core_edges:
-            deps[dst.uid].append((src.uid, delay))
+        order = [op for op in core_ops if op is not terminator]
+        if terminator is not None:
+            order.append(terminator)
 
         core_slots: List[Optional[Operation]] = []
         finish: Dict[int, int] = {}
         next_slot = 0
-        for op in core_ops:
-            if op is terminator:
-                continue
+        for op in order:
             start = max(
                 [next_slot]
                 + [finish[src] + delay for src, delay in deps[op.uid] if src in finish]
@@ -275,18 +260,5 @@ def schedule_decoupled(
             core_slots.append(op)
             finish[op.uid] = start
             next_slot = start + 1
-        if terminator is not None:
-            start = max(
-                [next_slot]
-                + [
-                    finish[src] + delay
-                    for src, delay in deps[terminator.uid]
-                    if src in finish
-                ]
-            )
-            while len(core_slots) < start:
-                core_slots.append(None)
-            terminator.slot = start
-            core_slots.append(terminator)
         slots.append(core_slots)
     return slots

@@ -451,7 +451,6 @@ class ExperimentRunner:
         return self._runs[cell]
 
     def _simulate(self, name: str, n_cores: int, strategy: str) -> RunResult:
-        bench = self.benchmark(name)
         config = self.machine_config(n_cores)
         compiled = self.compiler(name).compile(strategy, config)
         plan = self._fault_plan(name, n_cores, strategy)

@@ -19,6 +19,7 @@ from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..sim.machine import VoltronMachine
 from ..sim.stats import STALL_CATEGORIES
+from ..workloads.suite import build_recipe
 from .experiments import SINGLE_STRATEGIES, ExperimentRunner, RunResult
 from .reporting import render_bar_breakdown, render_table
 
@@ -173,30 +174,21 @@ def figure7_9_examples() -> Dict[str, float]:
     Fig. 7 (DOALL), Fig. 8 (strands), and Fig. 9 (ILP) loop shapes,
     computed from the kernels that embody them (no suite benchmark, so
     no runner)."""
-    from ..isa.builder import ProgramBuilder
-    from ..workloads import doall_kernel, ilp_kernel, match_kernel
-    from ..workloads.kernels import KernelContext
-
     results = {}
     for label, kernel, kwargs, strategy in (
-        ("fig7_gsm_llp", doall_kernel, {"trips": 256, "work": 3}, "llp"),
-        ("fig8_gzip_strands", match_kernel, {"length": 320}, "tlp"),
+        ("fig7_gsm_llp", "doall", {"trips": 256, "work": 3}, "llp"),
+        ("fig8_gzip_strands", "match", {"length": 320}, "tlp"),
         (
             "fig9_gsm_ilp",
-            ilp_kernel,
+            "ilp",
             # The paper's Fig. 9 filter: four independent multiply
             # chains (no cross-chain shuffle), compiled coupled.
             {"trips": 200, "chains": 4, "depth": 5, "shuffle": False},
             "ilp",
         ),
     ):
-        pb = ProgramBuilder(label)
-        fb = pb.function("main")
-        fb.block("entry")
-        ctx = KernelContext(pb=pb, fb=fb, seed=7)
-        out = kernel(ctx, **kwargs)
-        fb.halt()
-        program = pb.finish()
+        bench = build_recipe(((kernel, kwargs),), label, data_seed=7)
+        program, (out,) = bench.program, bench.outputs
         reference = run_program(program)
         compiler = VoltronCompiler(program)
         base_machine = VoltronMachine(

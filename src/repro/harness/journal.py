@@ -89,7 +89,6 @@ class RunJournal:
             _trim_torn_tail(self.path)
         self._handle = open(self.path, "a" if resume else "w")
         fsync_path(self.path.parent)
-        self.records_written = 0
         self.record(
             "start",
             journal_version=JOURNAL_VERSION,
@@ -106,7 +105,6 @@ class RunJournal:
         self._handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self.records_written += 1
 
     def close(self) -> None:
         if self._handle is not None:

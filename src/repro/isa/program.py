@@ -33,9 +33,6 @@ class BasicBlock:
         self.region: Optional[int] = None
         self.mode: str = "coupled"  # 'coupled' | 'decoupled'
         self.attrs: Dict[str, Any] = {}
-        # Filled by the scheduler: number of issue slots (>= len of longest
-        # per-core schedule within the block, NOP-padded in coupled mode).
-        self.schedule_length: Optional[int] = None
 
     def append(self, op: Operation) -> Operation:
         self.ops.append(op)

@@ -315,8 +315,6 @@ class DirectoryCoherence(SnoopBus):
         self.directory_latency = config.directory_latency
         #: line_addr -> cores whose L1 holds the line in any valid state.
         self._presence: Dict[int, Set[int]] = {}
-        #: Directory transactions (miss or upgrade indirections).
-        self.directory_lookups = 0
 
     # -- public interface ----------------------------------------------------
 
@@ -338,7 +336,6 @@ class DirectoryCoherence(SnoopBus):
                 return hit_latency + fault_extra, False
             # Store to a Shared/Owned line: the directory names the
             # sharers to invalidate (no broadcast).
-            self.directory_lookups += 1
             if self.faults is not None:
                 fault_extra += self.faults.directory_delay()
             self._invalidate_others(core, line_addr)
@@ -349,7 +346,6 @@ class DirectoryCoherence(SnoopBus):
                 False,
             )
 
-        self.directory_lookups += 1
         if self.faults is not None:
             fault_extra += self.faults.directory_delay()
         supplier_latency = self._fetch(core, line_addr, is_store)

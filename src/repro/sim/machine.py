@@ -450,7 +450,6 @@ class VoltronMachine:
         releases: List[int] = []
         # Free cores whose stall a kernel decided and stamped.
         stamped: List[Core] = []
-        send_stalled = 0
         faults = self.faults
         stall_probes = 0
 
@@ -518,8 +517,6 @@ class VoltronMachine:
                     return False  # the stall lifts this cycle
                 releases.append(release)
             credits.append((core.stats, category))
-            if category == "send":
-                send_stalled += 1
 
         if not credits:
             return False  # nothing to account for: not a provable stall
@@ -541,7 +538,6 @@ class VoltronMachine:
             return False
         for stats, category in credits:
             stats.stall(category, skipped)
-        self.network.send_stalls += send_stalled * skipped
         for core in stamped:
             core.stall_stamp = (target - 1,) + core.stall_stamp[1:]
         self.stats.mode_cycles[self.mode] += skipped
@@ -809,7 +805,6 @@ class VoltronMachine:
                     None if self.recovery is None
                     else self.network.next_arrival(),
                 )
-                self.network.send_stalls += 1
                 return
         entry = frame.block.decoded
         reg_ready = core.reg_ready

@@ -165,9 +165,6 @@ class OperandNetwork:
         self._pool_load: Dict[int, int] = {}
         self._reserved: set = set()
         self._seq = 0
-        self.messages_delivered = 0
-        self.send_stalls = 0
-        self.total_message_latency = 0
         #: Optional :class:`~repro.sim.faults.FaultPlan`: when attached,
         #: messages occasionally spend extra cycles in flight (a chaos
         #: model of router contention); queue-mode RECVs must tolerate it.
@@ -367,12 +364,6 @@ class OperandNetwork:
                 continue
             del queue[i]
             self._consume(message, cycle)
-            self.messages_delivered += 1
-            self.total_message_latency += cycle - (
-                message.ready_cycle
-                - self.mesh.hops(message.src, message.dst)
-                - self.config.queue_entry_cycles
-            )
             return message
         return None
 

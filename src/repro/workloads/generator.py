@@ -36,9 +36,8 @@ import random
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..isa.builder import ProgramBuilder
-from .kernels import KERNELS, MISS_ARRAY, KernelContext
-from .suite import Benchmark, Recipe
+from .kernels import KERNELS, MISS_ARRAY
+from .suite import Benchmark, Recipe, build_recipe
 
 #: Handle prefix shared by every generated benchmark.
 HANDLE_PREFIX = "gen:"
@@ -255,24 +254,6 @@ def generate_recipe(seed: int, knobs: Optional[GenKnobs] = None) -> Recipe:
             kwargs = {"trips": trips}
         recipe.append((kernel, kwargs))
     return tuple(recipe)
-
-
-def build_recipe(
-    recipe: Recipe, name: str, data_seed: int = 1
-) -> Benchmark:
-    """Assemble ``recipe`` into a runnable :class:`Benchmark` (shared by
-    the generator and the shrinker, which replays reduced recipes)."""
-    pb = ProgramBuilder(name.replace(":", "_").replace(".", "_"))
-    fb = pb.function("main")
-    fb.block("entry")
-    ctx = KernelContext(pb=pb, fb=fb, seed=data_seed)
-    outputs = []
-    for kernel_name, kwargs in recipe:
-        outputs.append(KERNELS[kernel_name](ctx, **kwargs))
-    fb.halt()
-    return Benchmark(
-        name=name, program=pb.finish(), outputs=outputs, recipe=recipe
-    )
 
 
 def generate(seed: int, knobs: Optional[GenKnobs] = None) -> Benchmark:

@@ -153,7 +153,7 @@ def write_repro(
 
     The document carries everything needed to replay without the
     generator's registry: the literal minimized recipe (replayable via
-    :func:`repro.workloads.generator.build_recipe`), the originating
+    :func:`repro.workloads.suite.build_recipe`), the originating
     handle/seed/knobs, and the failure text.
     """
     import hashlib

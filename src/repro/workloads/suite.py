@@ -176,6 +176,25 @@ class Benchmark:
     recipe: Recipe = ()
 
 
+def build_recipe(recipe: Recipe, name: str, data_seed: int = 1) -> Benchmark:
+    """Assemble ``recipe`` into a runnable :class:`Benchmark`: one
+    ``main`` whose entry block runs the kernels in order, then halts.
+    ``data_seed`` seeds the kernels' array contents.  The one assembly
+    path of the suite, the generator, the shrinker (which replays
+    reduced recipes) and the Figure 7-9 examples."""
+    pb = ProgramBuilder(name.replace(":", "_").replace(".", "_"))
+    fb = pb.function("main")
+    fb.block("entry")
+    ctx = KernelContext(pb=pb, fb=fb, seed=data_seed)
+    outputs = []
+    for kernel_name, kwargs in recipe:
+        outputs.append(KERNELS[kernel_name](ctx, **kwargs))
+    fb.halt()
+    return Benchmark(
+        name=name, program=pb.finish(), outputs=outputs, recipe=recipe
+    )
+
+
 def build(name: str, seed: int = 1) -> Benchmark:
     """Construct one suite benchmark (or generated handle) as a fresh
     program.
@@ -195,18 +214,7 @@ def build(name: str, seed: int = 1) -> Benchmark:
         raise KeyError(
             f"unknown benchmark {name!r}; choose from {BENCHMARKS}"
         ) from None
-    pb = ProgramBuilder(name.replace(".", "_"))
-    fb = pb.function("main")
-    fb.block("entry")
-    ctx = KernelContext(pb=pb, fb=fb, seed=seed + sum(map(ord, name)))
-    outputs = []
-    for kernel_name, kwargs in recipe:
-        kernel = KERNELS[kernel_name]
-        outputs.append(kernel(ctx, **kwargs))
-    fb.halt()
-    return Benchmark(
-        name=name, program=pb.finish(), outputs=outputs, recipe=recipe
-    )
+    return build_recipe(recipe, name, seed + sum(map(ord, name)))
 
 
 def build_all(seed: int = 1) -> Dict[str, Benchmark]:

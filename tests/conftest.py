@@ -30,6 +30,35 @@ def build_square_sum(n: int = 16) -> Tuple[Program, str]:
     return pb.finish(), "out"
 
 
+def build_strand_block() -> Tuple[Program, str]:
+    """A miss-heavy straight-line helper called 48 times: the helper's
+    entry block is the one shape the region selector compiles as a
+    ``strand_block`` region (no suite benchmark reaches it).
+
+    ``gather(x)`` makes three loads 2,048 words apart from an 8,192-word
+    array (each touches a fresh line), combines them, stores
+    ``out[x]`` and falls through to a block holding only the RET."""
+    pb = ProgramBuilder("strand_block")
+    data = pb.alloc("a", 8192, init=[(i * 37) % 1000 for i in range(8192)])
+    out = pb.alloc("out", 48)
+    helper = pb.function("gather", n_params=1)
+    helper.block("gather_entry")
+    (x,) = helper.function.params
+    base = helper.mul(x, 64)
+    first = helper.load(data.base, base)
+    second = helper.load(data.base, helper.add(base, 2048))
+    third = helper.load(data.base, helper.add(base, 4096))
+    helper.store(out.base, x, helper.xor(helper.add(first, second), third))
+    helper.block("gather_ret")
+    helper.ret()
+    fb = pb.function("main")
+    fb.block("entry")
+    with fb.counted_loop("calls", 0, 48) as i:
+        fb.call("gather", [i], want_result=False)
+    fb.halt()
+    return pb.finish(), "out"
+
+
 def simulate(
     program: Program,
     n_cores: int,
