@@ -11,14 +11,17 @@ regenerate the files with::
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.arch import mesh, single_core
-from repro.compiler import compile_program
-from repro.sim import VoltronMachine
+from repro.arch.config import resolve_machine
+from repro.compiler import VoltronCompiler, compile_program
+from repro.sim import FaultConfig, VoltronMachine
 from repro.workloads.suite import build
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -38,11 +41,49 @@ def _stats_payload(name: str, n_cores: int, strategy: str) -> dict:
     return VoltronMachine(compiled, config).run().to_dict()
 
 
-@pytest.mark.parametrize("name,n_cores,strategy", CASES)
-def test_stats_match_golden(name, n_cores, strategy, update_golden):
-    payload = _stats_payload(name, n_cores, strategy)
-    path = GOLDEN_DIR / f"{name}_{n_cores}cores_{strategy}.json"
-    if update_golden:
+def _vlink(name: str):
+    config = resolve_machine(name)
+    return dataclasses.replace(
+        config,
+        network=dataclasses.replace(config.network, queue_policy="vlink"),
+    )
+
+
+#: Cells pinning the register and stepping machinery the cases above
+#: never reach: TM checkpoint/rollback and mode transitions (alvinn
+#: hybrid), one clustered lock-step ensemble paying the cross-cluster
+#: stall penalty (mesh32 directory with Virtual-Link queues), and
+#: blackout poison plus checkpoint restore (swim llp under destructive
+#: faults; the default blackout rate never fires on this cell, so it
+#: takes the fast-path suite's denser one).  Each golden holds the
+#: stats, a digest of the final memory image and, under faults, the
+#: fault schedule.
+#: (golden file stem, benchmark, machine, strategy, fault config)
+MACHINE_CASES = [
+    ("052.alvinn_4cores_hybrid", "052.alvinn", mesh(4), "hybrid", None),
+    ("rawcaudio_mesh32-directory-vlink_ilp", "rawcaudio",
+     _vlink("mesh32-directory"), "ilp", None),
+    ("171.swim_4cores_llp_faults-both-1", "171.swim", mesh(4), "llp",
+     FaultConfig(profile="both", seed=1, blackout_rate=0.0005)),
+]
+
+
+def _machine_payload(name, config, strategy, faults) -> dict:
+    compiled = VoltronCompiler(build(name).program).compile(strategy, config)
+    machine = VoltronMachine(compiled, config, faults=faults)
+    payload = {
+        "stats": machine.run().to_dict(),
+        "memory_sha256": hashlib.sha256(
+            repr(sorted(machine.final_memory().items())).encode()
+        ).hexdigest(),
+    }
+    if faults is not None:
+        payload["faults"] = machine.faults.summary()
+    return payload
+
+
+def _check_golden(path: Path, payload: dict, cell: str, update: bool):
+    if update:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
@@ -52,7 +93,24 @@ def test_stats_match_golden(name, n_cores, strategy, update_golden):
     )
     golden = json.loads(path.read_text())
     assert payload == golden, (
-        f"{name} [{n_cores}-core {strategy}] stats drifted from "
-        f"{path.name}; if the model change is intentional, regenerate "
-        "with --update-golden"
+        f"{cell} stats drifted from {path.name}; if the model change is "
+        "intentional, regenerate with --update-golden"
     )
+
+
+@pytest.mark.parametrize(
+    "stem,name,config,strategy,faults", MACHINE_CASES,
+    ids=[case[0] for case in MACHINE_CASES],
+)
+def test_machine_cells_match_golden(stem, name, config, strategy, faults,
+                                    update_golden):
+    payload = _machine_payload(name, config, strategy, faults)
+    _check_golden(GOLDEN_DIR / f"{stem}.json", payload, stem, update_golden)
+
+
+@pytest.mark.parametrize("name,n_cores,strategy", CASES)
+def test_stats_match_golden(name, n_cores, strategy, update_golden):
+    payload = _stats_payload(name, n_cores, strategy)
+    path = GOLDEN_DIR / f"{name}_{n_cores}cores_{strategy}.json"
+    _check_golden(path, payload, f"{name} [{n_cores}-core {strategy}]",
+                  update_golden)
