@@ -19,7 +19,7 @@ region mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..isa.machinecode import CompiledProgram, CoreBlock
 from ..isa.operations import Opcode, Operation

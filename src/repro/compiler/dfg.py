@@ -15,7 +15,7 @@ pairings used by the coupled scheduler are expressed separately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..isa.latencies import scheduling_latency

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from ..isa.operations import Imm, Opcode, Operation, Reg
+from ..isa.operations import Imm, Opcode, Reg
 from ..isa.program import Function, Program
 from .dfg import carried_register_edges
 from .loops import Accumulator, InductionVariable, Loop, live_out_regs

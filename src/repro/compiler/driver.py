@@ -15,7 +15,7 @@ Strategies (matching the paper's experiments):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..arch.config import MachineConfig, mesh, single_core
 from ..isa.machinecode import CompiledProgram

@@ -14,12 +14,12 @@ are not partitioned here; callers handle replication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from ...arch.mesh import Mesh
 from ...isa.latencies import scheduling_latency
 from ...isa.operations import Operation
-from ..dfg import FLOW, MEMORY, DependenceGraph
+from ..dfg import FLOW, DependenceGraph
 
 
 @dataclass

@@ -16,15 +16,14 @@ threshold in the selection policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from ...isa.latencies import scheduling_latency
 from ...isa.operations import Operation, Reg
 from ...isa.program import Program
 from ..dfg import (
     CARRIED,
-    DependenceGraph,
     build_block_dfg,
     carried_memory_pairs,
     carried_register_edges,

@@ -15,7 +15,7 @@ gathered in one instrumented reference-interpreter run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import CacheConfig
 from ..isa.interp import Frame, Interpreter

@@ -27,8 +27,8 @@ all remaining code on one core.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Set
 
 from ..isa.operations import Opcode
 from ..isa.program import BasicBlock, Function, Program

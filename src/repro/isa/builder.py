@@ -18,17 +18,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Iterator, List, Optional, Sequence, Union
 
-from .operations import (
-    ALU_SEMANTICS,
-    COMPARISONS,
-    Imm,
-    Opcode,
-    Operand,
-    Operation,
-    Reg,
-    RegFile,
-    make_op,
-)
+from .operations import Imm, Opcode, Operand, Operation, Reg, make_op
 from .program import BasicBlock, Function, Program
 
 Src = Union[Reg, Imm, int, float]

@@ -17,8 +17,8 @@ semantics.  It serves three roles in the reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .operations import (
     ALU_SEMANTICS,

@@ -10,7 +10,7 @@ a region id, which the simulator uses to attribute time per mode (Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .operations import CONTROL_OPCODES, Opcode, Operation, Reg

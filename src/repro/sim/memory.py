@@ -14,7 +14,7 @@ Transactions (speculative DOALL chunks) write through a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from ..isa.registers import Value
 

@@ -30,9 +30,8 @@ Two receive-queue organizations (``NetworkConfig.queue_policy``):
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import NetworkConfig
 from ..arch.mesh import Mesh

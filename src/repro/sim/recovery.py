@@ -50,8 +50,9 @@ memory stays bit-identical to the fault-free golden under any plan.
 
 from __future__ import annotations
 
+import weakref
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .core import RUNNING
 
@@ -148,7 +149,10 @@ class RecoveryManager:
     """
 
     def __init__(self, machine, plan) -> None:
-        self.machine = machine
+        # A weak back-reference: the machine owns this manager, and a
+        # strong cycle would keep every faulted machine alive until a
+        # full garbage collection.
+        self.machine = weakref.proxy(machine)
         self.plan = plan
         self.config = plan.config
         self.counters: Dict[str, int] = {
@@ -318,15 +322,12 @@ class RecoveryManager:
         self.counters["blackout_cycles"] += duration
         count = self.blackout_count.get(core_id, 0) + 1
         self.blackout_count[core_id] = count
-        # Wipe the in-flight architectural state: poison every register
-        # and clear the scoreboard.  Recovery must fully rebuild both --
-        # any poisoned value that leaked into results would break the
-        # chaos differential's bit-identity.
-        core.regs.restore(
-            {reg: _POISON for reg in core.regs.snapshot()}
-        )
-        core.reg_ready.clear()
-        core._fetched_block = None
+        # Wipe the in-flight architectural state: poison every written
+        # register and clear the scoreboard.  Recovery must fully rebuild
+        # both -- any poisoned value that leaked into results would break
+        # the chaos differential's bit-identity.
+        core.poison_registers(_POISON)
+        core._fetch_block = None
         # The watchdog hears the missed heartbeats over the stall
         # fabric; on clustered machines the silence must propagate up
         # the cluster-level stall network first.
@@ -422,6 +423,7 @@ class RecoveryManager:
         machine.tm.abort(core_id)
         restart = core.rollback_registers()
         core.jump(restart)
+        machine._positions_moved = True
         self.counters["chunk_rollbacks"] += 1
         self._event(cycle, "chunk_rollback", core_id, f"restart={restart}")
         # Directory fabrics must forget the dead core: a presence vector

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .kernels import KERNELS, MISS_ARRAY

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from ..isa.builder import FunctionBuilder, ProgramBuilder
-from ..isa.operations import Reg
 
 MISS_ARRAY = 4096
 RESIDENT_ARRAY = 64

@@ -56,25 +56,6 @@ class TestRegisterFile:
         regs.write(r, True)
         assert regs.defined(r)
 
-    def test_snapshot_restore_roundtrip(self):
-        regs = RegisterFile()
-        a, b = Reg(RegFile.GPR, 0), Reg(RegFile.GPR, 1)
-        regs.write(a, 1)
-        snapshot = regs.snapshot()
-        regs.write(a, 99)
-        regs.write(b, 100)
-        regs.restore(snapshot)
-        assert regs.read(a) == 1
-        assert not regs.defined(b)
-
-    def test_snapshot_is_a_copy(self):
-        regs = RegisterFile()
-        a = Reg(RegFile.GPR, 0)
-        regs.write(a, 1)
-        snapshot = regs.snapshot()
-        regs.write(a, 2)
-        assert snapshot[a] == 1
-
     def test_len_counts_written_registers(self):
         regs = RegisterFile()
         assert len(regs) == 0

@@ -64,7 +64,7 @@ class TestDirectModeLatency:
             ], None, None)],
         })
         machine = run(compiled, two_core())
-        assert machine.cores[1].regs.read(R(2)) == 6
+        assert machine.cores[1].register(R(2))[0] == 6
         # No scoreboard stall on the consumer: latency category is zero.
         assert machine.stats.cores[1].stalls["latency"] == 0
 
@@ -102,7 +102,7 @@ class TestDirectModeLatency:
             ], None, None)],
         }
         machine = run(assemble(4, blocks), four_core())
-        assert machine.cores[3].regs.read(R(3)) == 9
+        assert machine.cores[3].register(R(3))[0] == 9
 
 
 class TestQueueModeLatency:
@@ -138,7 +138,7 @@ class TestQueueModeLatency:
         """RECV issued immediately waits ~2+hops cycles (paper: 2 cycles
         plus one per hop for adjacent cores)."""
         machine = self._send_recv_program(gap_nops=0)
-        assert machine.cores[1].regs.read(R(1)) == 7
+        assert machine.cores[1].register(R(1))[0] == 7
         # The receiver issued its RECV one cycle before the sender's SEND
         # completed routing: it must have stalled 2-3 cycles.
         stalls = machine.stats.cores[1].stalls["recv_data"]
@@ -146,7 +146,7 @@ class TestQueueModeLatency:
 
     def test_late_receiver_does_not_stall(self):
         machine = self._send_recv_program(gap_nops=8)
-        assert machine.cores[1].regs.read(R(1)) == 7
+        assert machine.cores[1].register(R(1))[0] == 7
         assert machine.stats.cores[1].stalls["recv_data"] == 0
 
 

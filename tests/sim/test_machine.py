@@ -13,6 +13,7 @@ from repro.arch import four_core, single_core, two_core
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import Function, Program
+from repro.isa.registers import UninitializedRegister
 from repro.sim import Deadlock, OutOfCycles, SimulatorError, VoltronMachine
 
 R = lambda i: Reg(RegFile.GPR, i)
@@ -46,6 +47,28 @@ def run(compiled, config, **kwargs):
     machine = VoltronMachine(compiled, config, **kwargs)
     machine.run()
     return machine
+
+
+class TestUninitializedRegister:
+    """Reading a register no write ever reached is a miscompile: both
+    kernels raise, naming the core and the register."""
+
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    @pytest.mark.parametrize("mode", ["coupled", "decoupled"])
+    def test_read_of_never_written_register_raises(self, mode, fast_forward):
+        prologue = []
+        if mode == "decoupled":
+            prologue = [op(Opcode.MODE_SWITCH, mode="decoupled", align=1)]
+        reads = {0: op(Opcode.MOV, [R(1)], [Imm(1)]),
+                 1: op(Opcode.ADD, [R(1)], [R(7), Imm(1)])}
+        compiled = assemble(2, {
+            core: [("entry", prologue + [read, op(Opcode.HALT, align=2)],
+                    None, None)]
+            for core, read in reads.items()
+        })
+        with pytest.raises(UninitializedRegister,
+                           match="core 1 read uninitialized register r7"):
+            run(compiled, two_core(), fast_forward=fast_forward)
 
 
 class TestSingleCore:
@@ -101,7 +124,7 @@ class TestSingleCore:
         })
         machine = run(compiled, single_core())
         assert machine.stats.cores[0].stalls["latency"] >= 2
-        assert machine.cores[0].regs.read(R(1)) == 13
+        assert machine.cores[0].register(R(1))[0] == 13
 
     def test_load_miss_blocks_and_counts_dstall(self):
         compiled = assemble(1, {
@@ -146,7 +169,7 @@ class TestCoupledLockstep:
             ], None, None)],
         })
         machine = run(compiled, two_core())
-        assert machine.cores[1].regs.read(R(1)) == 42
+        assert machine.cores[1].register(R(1))[0] == 42
 
     def test_misaligned_get_raises(self):
         compiled = assemble(2, {
@@ -218,7 +241,7 @@ class TestBroadcast:
             ], None, None)]
         machine = run(assemble(4, blocks), four_core())
         for core in (1, 2, 3):
-            assert machine.cores[core].regs.read(P(0)) is True
+            assert machine.cores[core].register(P(0))[0] is True
 
 
 class TestModeSwitchAndThreads:
@@ -286,7 +309,7 @@ class TestModeSwitchAndThreads:
         park = core.frame.block
         assert core.take_fetch() == park.base_addr  # LISTEN fetched
         core.listen_return = (park, 0)
-        machine._do_sleep(core, op(Opcode.SLEEP))
+        machine._do_sleep(core, op(Opcode.SLEEP), (), None)
         assert core.position() == ("main", "park", 0)
         assert core.take_fetch() == park.base_addr
 
