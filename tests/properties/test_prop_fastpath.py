@@ -38,11 +38,12 @@ from repro.workloads.suite import BENCHMARKS, build
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1"))
 
 #: The figure matrix: serial baseline plus every parallel strategy at the
-#: paper's two machine sizes.
+#: paper's two machine sizes, Figure 13's hybrid (mixed coupled and
+#: decoupled regions) included.
 CELLS = [(1, "baseline")] + [
     (n_cores, strategy)
     for n_cores in (2, 4)
-    for strategy in ("ilp", "tlp", "llp")
+    for strategy in ("ilp", "tlp", "llp", "hybrid")
 ]
 
 

@@ -7,6 +7,9 @@ destructive plan does, final memory must be bit-identical to the
 fault-free golden run and every chunk must still commit exactly once.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.arch import mesh, single_core
@@ -151,6 +154,23 @@ class TestWiring:
         stats = machine.run()
         assert stats.recovery == {}
         assert "recovery" not in stats.to_dict()
+
+    def test_faulted_machine_is_freed_by_reference_counting(self):
+        """The recovery layer must not form a reference cycle with its
+        machine: with the collector off, dropping the last reference to
+        a machine that ran destructive faults frees it at once."""
+        machine, _ = _machine("rawcaudio", 4, "tlp", profile="both", seed=1)
+        machine.run()
+        assert machine.recovery is not None
+        ref = weakref.ref(machine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del machine
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_destructive_run_lands_counters_in_stats(self):
         machine, _ = _machine(
