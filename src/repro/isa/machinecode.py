@@ -35,12 +35,13 @@ class CoreBlock:
     #: (function name, label) attribution key, filled in by the simulator's
     #: pre-decode pass so per-cycle accounting never rebuilds the tuple.
     stat_key: Optional[Tuple[str, str]] = None
-    #: (per-slot handlers, per-slot wire flags, per-slot register sources),
-    #: filled in by the simulator's pre-decode pass; one attribute load on
-    #: the issue path instead of a dictionary probe.  Handlers close only
-    #: over static latencies, so machines sharing a compiled program can
-    #: reuse each other's entries.
-    decoded: Optional[Tuple[tuple, tuple, tuple]] = None
+    #: Per-slot ``(op, handler, wire, srcs, dest)`` entries (None for NOP
+    #: padding), filled in by the simulator's pre-decode pass; one
+    #: attribute load on the issue path instead of a dictionary probe.
+    #: Entries depend only on the compiled program (handlers close over
+    #: static latencies, indices follow its register numbering), so
+    #: machines sharing an unedited compiled program reuse each other's.
+    decoded: Optional[Tuple[Optional[tuple], ...]] = None
 
     def __len__(self) -> int:
         return len(self.slots)
