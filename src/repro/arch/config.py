@@ -9,6 +9,7 @@ direct-mode network latency of 1 cycle/hop, queue-mode latency of
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 
@@ -176,6 +177,7 @@ def apply_overrides(
     return replace(config, **machine_kwargs)
 
 
+@lru_cache(maxsize=None)
 def mesh(n_cores: int) -> MachineConfig:
     """A machine with ``n_cores`` on the smallest near-square mesh.
 
@@ -185,7 +187,8 @@ def mesh(n_cores: int) -> MachineConfig:
     the smallest enclosing near-square rectangle instead: cores fill
     row-major and the unoccupied tail positions are holes the router
     detours around (XY falls back to YX, which always works because
-    holes only ever occupy the end of the last row).
+    holes only ever occupy the end of the last row).  Built once per
+    count: the config is frozen, so every caller can share it.
     """
     presets = {1: single_core, 2: two_core, 4: four_core}
     if n_cores in presets:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..arch.config import MachineConfig, mesh, single_core
+from ..isa.interp import InterpResult
 from ..isa.machinecode import CompiledProgram
 from ..isa.program import Program
 from ..isa.registers import Value
@@ -36,12 +37,23 @@ class VoltronCompiler:
         self.program = program
         self.profile_args = profile_args
         self._profile: Optional[ExecutionProfile] = None
+        #: The argument-free profile run's final state, until taken.
+        self._run: Optional[InterpResult] = None
 
     @property
     def profile(self) -> ExecutionProfile:
         if self._profile is None:
-            self._profile = Profiler(self.program).run(self.profile_args)
+            profiler = Profiler(self.program)
+            self._profile = profiler.run(self.profile_args)
+            self._run = None if self.profile_args else profiler.result
         return self._profile
+
+    def take_profile_run(self) -> Optional[InterpResult]:
+        """The argument-free profile run's final state, handed over once
+        (profiling first); None after that or for a profile with arguments."""
+        self.profile
+        run, self._run = self._run, None
+        return run
 
     def compile(
         self,

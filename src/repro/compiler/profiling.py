@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import CacheConfig
-from ..isa.interp import Frame, Interpreter
+from ..isa.interp import Frame, InterpResult, Interpreter
 from ..isa.operations import Operation
 from ..isa.program import BasicBlock, Program
 from ..isa.registers import Value
@@ -112,12 +112,14 @@ class Profiler:
             for name, function in program.functions.items()
         }
         self._active: List[_ActiveLoop] = []
+        #: The profiled run's final state, once :meth:`run` returns.
+        self.result: Optional[InterpResult] = None
 
     def run(self, args: Tuple[Value, ...] = ()) -> ExecutionProfile:
         interpreter = Interpreter(self.program)
         interpreter.observe_blocks(self._on_block)
         interpreter.observe_memory(self._on_memory)
-        result = interpreter.run(args)
+        result = self.result = interpreter.run(args)
         self.profile.op_counts = result.op_counts
         self.profile.block_counts = result.block_counts
         self.profile.dynamic_ops = result.dynamic_ops

@@ -1,9 +1,13 @@
 """On-disk result cache for simulation runs.
 
 A run is fully determined by the benchmark *program* (every op, block
-edge, and the initial memory image), the *machine configuration*, and the
-build *seed* -- so cache keys are sha256 content hashes of exactly that
-fingerprint, plus the (n_cores, strategy, max_cycles) cell coordinates.
+edge, and every array's initial contents), the *machine configuration*,
+and the build *seed* -- so cache keys are sha256 content hashes of
+exactly that fingerprint, plus the (n_cores, strategy, max_cycles) cell
+coordinates.  The fingerprint renders each array's contents as one line:
+their length and a sha256 over the values packed as little-endian int64
+when every value is exactly an ``int`` in range, or over their ``repr``
+otherwise (so ``1``, ``True`` and ``1.0`` still key apart).
 Content hashing (rather than keying on the benchmark name) means a
 workload-generator change invalidates stale entries automatically, and
 sha256 (rather than Python's per-process randomized ``hash()``) keeps
@@ -30,9 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+from array import array
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from ..arch.config import MachineConfig
 from ..isa.program import Program
@@ -40,28 +46,42 @@ from ..isa.program import Program
 #: Bump when the cached payload layout changes: old entries simply miss.
 #: 3: RunResult payloads gained schema_version + metrics; v2 entries are
 #: quarantined as misses on first probe (same path as corrupt files).
-CACHE_VERSION = 3
+#: 4: the fingerprint hashes each array's contents instead of listing
+#: every word, and blocks no longer render a mode and region.
+CACHE_VERSION = 4
+
+
+def _contents_line(values: Sequence[Any]) -> str:
+    """An array's initial contents as one line: their count and a sha256
+    tagged ``q`` (little-endian int64 words) or ``repr`` (anything else)."""
+    if set(map(type, values)) <= {int}:
+        try:
+            packed = array("q", values)
+        except OverflowError:
+            pass
+        else:
+            if sys.byteorder == "big":
+                packed.byteswap()
+            return f" init {len(values)} q {hashlib.sha256(packed).hexdigest()}"
+    text = "\n".join(map(repr, values)).encode()
+    return f" init {len(values)} repr {hashlib.sha256(text).hexdigest()}"
 
 
 def program_fingerprint(program: Program) -> str:
     """A deterministic text rendering of everything that affects a run:
-    functions (in definition order), block structure and annotations, every
-    operation, the arrays, and the initial memory image."""
+    functions (in definition order), block structure, every operation,
+    and the arrays with their initial contents."""
     lines = [f"program {program.name} entry={program.entry}"]
     for name, function in program.functions.items():
         lines.append(f"function {name} params={function.params!r}")
         for block in function.ordered_blocks():
-            lines.append(
-                f" block {block.label} taken={block.taken} fall={block.fall}"
-                f" mode={block.mode} region={block.region}"
-            )
+            lines.append(f" block {block.label} taken={block.taken} fall={block.fall}")
             for op in block.ops:
                 lines.append(f"  {op!r}")
     for name in sorted(program.arrays):
         symbol = program.arrays[name]
         lines.append(f"array {name} base={symbol.base} size={symbol.size}")
-    for addr in sorted(program.initial_memory):
-        lines.append(f"mem {addr}={program.initial_memory[addr]!r}")
+        lines.append(_contents_line(symbol.init))
     return "\n".join(lines)
 
 

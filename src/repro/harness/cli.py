@@ -145,77 +145,65 @@ def _resolve_machine_flag(args, out) -> bool:
     return True
 
 
-def _add_runner_options(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for independent simulation cells (default 1)",
-    )
-    subparser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache",
-    )
-    subparser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default {DEFAULT_CACHE_DIR})",
-    )
-    subparser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline per simulation cell on the worker pool, "
-        "counted from its task's submission (overdue cells are retried, "
-        "then run serially; default none)",
-    )
-    subparser.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="write-ahead run journal (fsynced JSONL, one record per cell "
-        "lifecycle event) making this run crash-safe; starts a fresh "
-        "journal at FILE -- use --resume to continue one",
-    )
-    subparser.add_argument(
-        "--resume",
-        default=None,
-        metavar="FILE",
-        help="resume an interrupted run from its journal: replay FILE "
-        "against the result cache, re-dispatch only cells without a "
-        "durable completed record, and keep journaling to FILE",
-    )
+#: Flag groups several commands share, as ``(flag, add_argument keywords)``.
+SHARED_FLAGS = {
+    "runner": (
+        ("--jobs", dict(
+            type=int, default=1,
+            help="worker processes for independent simulation cells (default 1)")),
+        ("--no-cache", dict(action="store_true", help="bypass the on-disk result cache")),
+        ("--cache-dir", dict(
+            default=DEFAULT_CACHE_DIR,
+            help=f"result cache directory (default {DEFAULT_CACHE_DIR})")),
+        ("--cell-timeout", dict(
+            type=float, default=None, metavar="SECONDS",
+            help="wall-clock deadline per simulation cell on the worker pool, "
+            "counted from its task's submission (overdue cells are retried, "
+            "then run serially; default none)")),
+        ("--journal", dict(
+            default=None, metavar="FILE",
+            help="write-ahead run journal (fsynced JSONL, one record per cell "
+            "lifecycle event) making this run crash-safe; starts a fresh "
+            "journal at FILE -- use --resume to continue one")),
+        ("--resume", dict(
+            default=None, metavar="FILE",
+            help="resume an interrupted run from its journal: replay FILE "
+            "against the result cache, re-dispatch only cells without a "
+            "durable completed record, and keep journaling to FILE")),
+    ),
+    "faults": (
+        ("--faults", dict(
+            action="store_true",
+            help="run every simulation under deterministic fault injection "
+            "(chaos mode); outputs are still checked against the reference")),
+        ("--fault-seed", dict(
+            type=int, default=0,
+            help="fault-plan RNG seed (default 0); same seed => same faults")),
+        ("--fault-rate", dict(
+            type=float, default=0.01,
+            help="per-event fault probability for --faults (default 0.01)")),
+        ("--fault-profile", dict(
+            choices=FAULT_PROFILES, default="timing",
+            help="fault families armed under --faults: timing delays only, "
+            "destructive (corrupt/drop/blackout with architectural recovery), "
+            "or both (default timing)")),
+    ),
+}
 
 
-def _add_fault_options(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--faults",
-        action="store_true",
-        help="run every simulation under deterministic fault injection "
-        "(chaos mode); outputs are still checked against the reference",
-    )
-    subparser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="fault-plan RNG seed (default 0); same seed => same faults",
-    )
-    subparser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.01,
-        help="per-event fault probability for --faults (default 0.01)",
-    )
-    subparser.add_argument(
-        "--fault-profile",
-        choices=FAULT_PROFILES,
-        default="timing",
-        help="fault families armed under --faults: timing delays only, "
-        "destructive (corrupt/drop/blackout with architectural recovery), "
-        "or both (default timing)",
-    )
+#: The sweep's integer machine axes: (flag, default value, metavar, what).
+SWEEP_INT_AXES = (
+    ("--queue-depths", 16, None, "operand-queue depths"),
+    ("--hop-latencies", 1, "CYCLES", "queue-mode cycles per hop"),
+    ("--memory-latencies", 100, "CYCLES", "main-memory latencies"),
+    ("--tm-commit-latencies", 4, "CYCLES", "TM commit-check budgets"),
+)
+
+
+def _add_flags(subparser: argparse.ArgumentParser, *groups: str) -> None:
+    for group in groups:
+        for flag, keywords in SHARED_FLAGS[group]:
+            subparser.add_argument(flag, **keywords)
 
 
 def _make_runner(args, benchmarks, machine=None):
@@ -310,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CYCLES",
         help="metrics-series sampling period in cycles (default 64)",
     )
-    _add_runner_options(run)
-    _add_fault_options(run)
+    _add_flags(run, "runner", "faults")
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
     figure.add_argument("--figure", required=True, choices=FIGURES)
@@ -327,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         help_tail="; overrides the figure's core count where it has one "
         "and applies the spec's machine knobs to every cell",
     )
-    _add_runner_options(figure)
-    _add_fault_options(figure)
+    _add_flags(figure, "runner", "faults")
 
     sweep = sub.add_parser(
         "sweep",
@@ -395,37 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="operand-queue policies to sweep: per-pair reserved queues "
         "or Virtual-Link shared receiver pools (default pair)",
     )
-    sweep.add_argument(
-        "--queue-depths",
-        nargs="*",
-        type=int,
-        default=(16,),
-        help="operand-queue depths to sweep (default 16)",
-    )
-    sweep.add_argument(
-        "--hop-latencies",
-        nargs="*",
-        type=int,
-        default=(1,),
-        metavar="CYCLES",
-        help="queue-mode cycles per hop to sweep (default 1)",
-    )
-    sweep.add_argument(
-        "--memory-latencies",
-        nargs="*",
-        type=int,
-        default=(100,),
-        metavar="CYCLES",
-        help="main-memory latencies to sweep (default 100)",
-    )
-    sweep.add_argument(
-        "--tm-commit-latencies",
-        nargs="*",
-        type=int,
-        default=(4,),
-        metavar="CYCLES",
-        help="TM commit-check budgets to sweep (default 4)",
-    )
+    for flag, default, metavar, what in SWEEP_INT_AXES:
+        sweep.add_argument(
+            flag, nargs="*", type=int, default=(default,), metavar=metavar,
+            help=f"{what} to sweep (default {default})",
+        )
     sweep.add_argument(
         "--out",
         default="sweep.json",
@@ -434,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # No fault flags: a chaos sweep would fold fault timing noise into
     # every Pareto point.
-    _add_runner_options(sweep)
+    _add_flags(sweep, "runner")
 
     verify = sub.add_parser(
         "verify",

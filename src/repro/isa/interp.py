@@ -96,7 +96,7 @@ class Interpreter:
     # -- execution -----------------------------------------------------------
 
     def run(self, args: Tuple[Value, ...] = ()) -> InterpResult:
-        memory: Dict[int, Value] = dict(self.program.initial_memory)
+        memory: Dict[int, Value] = self.program.memory_image()
         registers = RegisterFile()
         main = self.program.main()
         if len(args) != len(main.params):

@@ -3,14 +3,14 @@
 A :class:`Function` is an ordered list of :class:`BasicBlock` forming a
 control-flow graph.  Each block ends in at most one control operation; the
 block records its ``taken`` successor (followed when the terminating branch
-fires) and its ``fall`` successor (the fall-through).  Blocks carry region
-annotations filled in by the compiler's selection pass: execution mode and
-a region id, which the simulator uses to attribute time per mode (Fig. 14).
+fires) and its ``fall`` successor (the fall-through).  Each array keeps
+its initial contents on its :class:`ArraySymbol`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .operations import CONTROL_OPCODES, Opcode, Operation, Reg
@@ -29,9 +29,6 @@ class BasicBlock:
         self.ops: List[Operation] = []
         self.taken: Optional[str] = None
         self.fall: Optional[str] = None
-        # Compiler annotations.
-        self.region: Optional[int] = None
-        self.mode: str = "coupled"  # 'coupled' | 'decoupled'
         self.attrs: Dict[str, Any] = {}
 
     def append(self, op: Operation) -> Operation:
@@ -144,6 +141,8 @@ class ArraySymbol:
     name: str
     base: int
     size: int
+    #: Initial contents of the first ``len(init)`` words (the rest are 0).
+    init: Tuple[Any, ...] = field(default=(), repr=False)
 
     def addr(self, index: int) -> int:
         if not 0 <= index < self.size:
@@ -158,7 +157,6 @@ class Program:
         self.name = name
         self.entry = entry
         self.functions: Dict[str, Function] = {}
-        self.initial_memory: Dict[int, Any] = {}
         self.arrays: Dict[str, ArraySymbol] = {}
         self._heap_top = 0
         # One allocator for the whole program: virtual registers are
@@ -195,20 +193,26 @@ class Program:
         Arrays are aligned to cache-line (8-word) boundaries by default so
         that workloads control false sharing explicitly.
         """
+        if name in self.arrays:
+            raise ValueError(f"duplicate array {name!r}")
+        values = tuple(init) if init is not None else ()
+        if len(values) > size:
+            raise ValueError(f"initializer for {name} longer than array")
         base = -(-self._heap_top // align) * align
         self._heap_top = base + size
-        symbol = ArraySymbol(name, base, size)
-        self.arrays[name] = symbol
-        if init is not None:
-            values = list(init)
-            if len(values) > size:
-                raise ValueError(f"initializer for {name} longer than array")
-            for offset, value in enumerate(values):
-                self.initial_memory[base + offset] = value
+        symbol = self.arrays[name] = ArraySymbol(name, base, size, values)
         return symbol
 
     def array(self, name: str) -> ArraySymbol:
         return self.arrays[name]
+
+    def memory_image(self) -> Dict[int, Any]:
+        """A fresh address -> value dict of every initialized word, in
+        allocation order; built per call, so each caller owns its copy."""
+        image: Dict[int, Any] = {}
+        for symbol in self.arrays.values():
+            image.update(zip(count(symbol.base), symbol.init))
+        return image
 
     def validate(self) -> None:
         if self.entry not in self.functions:

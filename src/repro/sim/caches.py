@@ -153,8 +153,6 @@ class L1ICache:
         self.array = SetAssocCache(config)
         self.config = config
         self.line_words = config.line_words
-        self.hits = 0
-        self.misses = 0
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: fetches occasionally take extra cycles even on a hit.
         self.faults = None
@@ -171,9 +169,7 @@ class L1ICache:
         line = array.sets[line_addr % array.n_sets].get(line_addr // array.n_sets)
         if line is not None and line.state != INVALID:
             line.last_used = next(array._tick)
-            self.hits += 1
             return 0 if self.faults is None else self.faults.ifetch_delay()
-        self.misses += 1
         l2_hit = l2.access(line_addr)
         array.insert(line_addr, SHARED)
         extra = 0 if self.faults is None else self.faults.ifetch_delay()

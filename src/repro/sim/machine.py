@@ -141,7 +141,7 @@ class VoltronMachine:
 
         rows, cols = config.mesh_shape
         self.mesh = Mesh(rows, cols, config.n_cores)
-        self.memory = MainMemory(compiled.program.initial_memory)
+        self.memory = MainMemory(compiled.program.memory_image())
         self.bus = make_coherence(config)
         self.icaches = [L1ICache(config.l1i) for _ in range(config.n_cores)]
         self.network = OperandNetwork(self.mesh, config.network)

@@ -30,7 +30,7 @@ of ``MISS_ARRAY`` words miss roughly once per 8-word line when streamed;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..isa.builder import FunctionBuilder, ProgramBuilder
@@ -49,6 +49,8 @@ class KernelContext:
     fb: FunctionBuilder
     seed: int = 1
     _counter: int = 0
+    #: The seed's LCG states so far, extended on demand.
+    _stream: List[int] = field(default_factory=list, repr=False)
 
     def unique(self, stem: str) -> str:
         # Per-context numbering keeps builds of the same recipe identical.
@@ -56,13 +58,14 @@ class KernelContext:
         return f"{stem}_{self._counter}"
 
     def rand_init(self, size: int, modulus: int = 251) -> List[int]:
-        """Deterministic pseudo-random contents (no RNG dependency)."""
-        value = self.seed * 2654435761 % 2**32
-        values = []
-        for _ in range(size):
+        """Deterministic pseudo-random contents (no RNG dependency): the
+        seed's LCG stream from its start, mapped into ``1..modulus``."""
+        stream = self._stream
+        value = stream[-1] if stream else self.seed * 2654435761 % 2**32
+        for _ in range(size - len(stream)):
             value = (value * 1103515245 + 12345) % 2**31
-            values.append(value % modulus + 1)
-        return values
+            stream.append(value)
+        return [value % modulus + 1 for value in stream[:size]]
 
 
 def ilp_kernel(

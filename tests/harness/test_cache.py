@@ -30,6 +30,7 @@ from repro.harness import (
 from repro.harness import cache as cache_module
 from repro.harness.cli import main as cli_main
 from repro.harness.reporting import render_cache_line
+from repro.isa.program import Program
 from repro.sim.faults import FaultConfig
 from repro.workloads.suite import BENCHMARKS, build
 
@@ -43,10 +44,10 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 #: derivation that drifts by one byte would orphan every existing cache
 #: entry and run journal, and only a pinned value notices.
 PINNED_CELL_KEY = (
-    "e87353856d2aa8d5c6d290c277b36b5f6d85e6d16f5cc09f7d8d763459babb7e"
+    "846981ff909c5afce7ca023afac80df334abb27c24f3bfe658550522ac6ac272"
 )
 PINNED_REFERENCE_KEY = (
-    "6d1797e0099b5e82b7e6597368c43d155602f13c4f1579ee33daef868ecc4c37"
+    "c1402f4b5c9d90114a6b6dd6c8ef9a1068d096b33f940fcaa712ea8413978f99"
 )
 
 #: The nine cells the paper's grid runs per benchmark: the 1-core
@@ -61,7 +62,7 @@ def one_shot_cell_key(program, config, seed, strategy, max_cycles, extra=""):
     contract states it: sha256 over the version tag, the fingerprint and
     the cell suffix."""
     text = (
-        f"v3\n{program_fingerprint(program)}\nconfig {config!r}"
+        f"v4\n{program_fingerprint(program)}\nconfig {config!r}"
         f"\nseed {seed} strategy {strategy} max_cycles {max_cycles}"
     )
     if extra:
@@ -70,7 +71,7 @@ def one_shot_cell_key(program, config, seed, strategy, max_cycles, extra=""):
 
 
 def one_shot_reference_key(program):
-    text = f"v3 reference\n{program_fingerprint(program)}"
+    text = f"v4 reference\n{program_fingerprint(program)}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -123,6 +124,25 @@ class TestKeys:
             assert cache_key(
                 ProgramKey(a), config, 1, "baseline", 1000
             ) != cache_key(ProgramKey(b), config, 1, "baseline", 1000)
+
+    def test_array_contents_key_by_type(self):
+        """Equal-comparing values of different types (and an int past
+        int64) must not share a fingerprint."""
+        fingerprints = set()
+        for value in (1, True, 1.0, 2**70):
+            program = Program("p")
+            program.alloc_array("a", 1, init=[value])
+            fingerprints.add(program_fingerprint(program))
+        assert len(fingerprints) == 4
+
+    def test_suite_fingerprints_stay_small(self):
+        """A fingerprint renders each array's contents as one line, not
+        one line per word: the whole suite's stays under 100 KB."""
+        total = sum(
+            len(program_fingerprint(build(name).program).encode())
+            for name in BENCHMARKS
+        )
+        assert total < 100_000
 
     def test_reference_key_ignores_machine(self):
         program = build(BENCH).program

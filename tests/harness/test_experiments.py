@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import ExperimentRunner, JournalReplay, experiments
+from repro.harness import cache as cache_module
 from repro.harness.experiments import _run_cells_worker
 from repro.harness.journal import read_journal
 from repro.harness.reporting import render_failure_line, render_journal_line
@@ -191,6 +192,37 @@ class TestQuarantineResumeInterplay:
             assert resumed._runs[cell].to_dict() == golden[cell]
         replay = JournalReplay.from_path(journal)
         assert replay.balanced()
+
+    def test_v3_cache_and_journal_on_resume_re_simulate(
+        self, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / "run.jnl"
+        with monkeypatch.context() as old:
+            old.setattr(cache_module, "CACHE_VERSION", 3)
+            warm = _runner(tmp_path, jobs=1)
+            warm.prefetch(CELLS)
+            warm.close_journal()
+        golden = {cell: warm._runs[cell].to_dict() for cell in CELLS}
+        simulated = []
+        simulate = ExperimentRunner._simulate
+
+        def counting(runner, *cell):
+            simulated.append(cell)
+            return simulate(runner, *cell)
+
+        monkeypatch.setattr(ExperimentRunner, "_simulate", counting)
+        resumed = _runner(tmp_path, jobs=1, journal=journal, resume=True)
+        resumed.prefetch(CELLS)
+        resumed.close_journal()
+        # Every v3 key misses, so nothing replays on the old journal's word.
+        assert sorted(simulated) == sorted(CELLS)
+        assert resumed.cache.hits == 0
+        assert resumed.journal_stats == {
+            "replayed": 0, "rerun": 0, "abandoned": 0,
+        }
+        for cell in CELLS:
+            assert resumed._runs[cell].to_dict() == golden[cell]
+        assert JournalReplay.from_path(journal).balanced()
 
     def test_intact_cache_on_resume_is_pure_replay(self, tmp_path):
         journal = tmp_path / "run.jnl"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.harness.experiments import ExperimentRunner, RunResult
 from repro.harness.figures import _group_cycles
+from repro.isa.interp import Interpreter
 from repro.sim.stats import MachineStats
 
 
@@ -26,6 +27,30 @@ class TestCaching:
         first = runner.reference_outputs("rawcaudio")
         assert runner.reference_outputs("rawcaudio") is first
         assert set(first) == set(runner.benchmark("rawcaudio").outputs)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_cold_runner_interprets_each_benchmark_once(
+        self, cached, tmp_path, monkeypatch
+    ):
+        """The profile run doubles as the reference run: a cold runner
+        interprets each benchmark once, however many cells it checks."""
+        runs = {}
+        interpret = Interpreter.run
+
+        def counting(interpreter, args=()):
+            name = interpreter.program.name
+            runs[name] = runs.get(name, 0) + 1
+            return interpret(interpreter, args)
+
+        monkeypatch.setattr(Interpreter, "run", counting)
+        names = ["rawcaudio", "rawdaudio"]
+        cold = ExperimentRunner(
+            benchmarks=names, cache_dir=tmp_path if cached else None
+        )
+        for name in names:
+            for n_cores, strategy in ((1, "baseline"), (2, "ilp"), (4, "hybrid")):
+                assert cold.run(name, n_cores, strategy).correct
+        assert runs == {name: 1 for name in names}
 
     def test_unknown_benchmark_raises(self, runner):
         with pytest.raises(KeyError):

@@ -159,12 +159,14 @@ class TestL1ICache:
     def test_miss_then_hit(self):
         config = four_core()
         icache = L1ICache(config.l1i)
+        misses = []
+        icache.on_icache_miss = misses.append
         l2 = SharedL2(config.l2, config.l2_banks)
         first = icache.access(0, l2, config.memory_latency)
         assert first == config.memory_latency
         again = icache.access(1, l2, config.memory_latency)  # same line
         assert again == 0
-        assert icache.hits == 1 and icache.misses == 1
+        assert misses == [config.memory_latency]
 
     def test_refill_from_l2(self):
         config = four_core()

@@ -142,7 +142,8 @@ class TestKernelCharacter:
         symbol = next(
             s for n, s in program.arrays.items() if n.endswith("_a")
         )
-        a = [program.initial_memory.get(symbol.base + k, 0) for k in range(18)]
+        image = program.memory_image()
+        a = [image.get(symbol.base + k, 0) for k in range(18)]
         for i in range(1, 17):
             assert values[i] == (a[i - 1] + 2 * a[i] + a[i + 1]) // 4
 
