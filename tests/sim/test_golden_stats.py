@@ -22,6 +22,7 @@ from repro.arch import mesh, single_core
 from repro.arch.config import resolve_machine
 from repro.compiler import VoltronCompiler, compile_program
 from repro.sim import FaultConfig, VoltronMachine
+from repro.sim.caches import L1ICache
 from repro.workloads.suite import build
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -55,9 +56,13 @@ def _vlink(name: str):
 #: stall penalty (mesh32 directory with Virtual-Link queues), and
 #: blackout poison plus checkpoint restore (swim llp under destructive
 #: faults; the default blackout rate never fires on this cell, so it
-#: takes the fast-path suite's denser one).  Each golden holds the
-#: stats, a digest of the final memory image and, under faults, the
-#: fault schedule.
+#: takes the fast-path suite's denser one).  Two more pin the coupled
+#: kernel at its extremes: the largest ensemble with the most barrier
+#: waits, call and mode barriers and halted members (epic hybrid on 64
+#: snooping cores), and one I-fetch per slot plus transient stall-bus
+#: holds (rawcaudio hybrid on 16 directory cores with Virtual-Link
+#: queues under timing faults).  Each golden holds the stats, a digest
+#: of the final memory image and, under faults, the fault schedule.
 #: (golden file stem, benchmark, machine, strategy, fault config)
 MACHINE_CASES = [
     ("052.alvinn_4cores_hybrid", "052.alvinn", mesh(4), "hybrid", None),
@@ -65,7 +70,41 @@ MACHINE_CASES = [
      _vlink("mesh32-directory"), "ilp", None),
     ("171.swim_4cores_llp_faults-both-1", "171.swim", mesh(4), "llp",
      FaultConfig(profile="both", seed=1, blackout_rate=0.0005)),
+    ("epic_mesh64-snoop_hybrid", "epic", resolve_machine("mesh64-snoop"),
+     "hybrid", None),
+    ("rawcaudio_mesh16-directory-vlink_hybrid_faults-timing-1", "rawcaudio",
+     _vlink("mesh16-directory"), "hybrid",
+     FaultConfig(profile="timing", seed=1)),
 ]
+
+#: ``L1ICache.access`` calls per golden cell.  The stats cannot show
+#: how often a kernel probes the I-cache (a repeated hit changes no
+#: counter), so a kernel that probes more or less often than once per
+#: fetch line shows up here.
+ICACHE_ACCESSES = {
+    "052.alvinn_4cores_hybrid": 2613,
+    "rawcaudio_mesh32-directory-vlink_ilp": 27776,
+    "171.swim_4cores_llp_faults-both-1": 25894,
+    "epic_mesh64-snoop_hybrid": 7937,
+    "rawcaudio_mesh16-directory-vlink_hybrid_faults-timing-1": 77792,
+    "rawcaudio_1cores_baseline": 1060,
+    "gsmdecode_2cores_ilp": 2508,
+    "g721decode_4cores_tlp": 3659,
+}
+
+
+@pytest.fixture
+def icache_accesses(monkeypatch):
+    """Counts ``L1ICache.access`` calls: read ``[0]`` after the run."""
+    count = [0]
+    access = L1ICache.access
+
+    def counted(self, *args):
+        count[0] += 1
+        return access(self, *args)
+
+    monkeypatch.setattr(L1ICache, "access", counted)
+    return count
 
 
 def _machine_payload(name, config, strategy, faults) -> dict:
@@ -103,14 +142,17 @@ def _check_golden(path: Path, payload: dict, cell: str, update: bool):
     ids=[case[0] for case in MACHINE_CASES],
 )
 def test_machine_cells_match_golden(stem, name, config, strategy, faults,
-                                    update_golden):
+                                    update_golden, icache_accesses):
     payload = _machine_payload(name, config, strategy, faults)
     _check_golden(GOLDEN_DIR / f"{stem}.json", payload, stem, update_golden)
+    assert icache_accesses[0] == ICACHE_ACCESSES[stem]
 
 
 @pytest.mark.parametrize("name,n_cores,strategy", CASES)
-def test_stats_match_golden(name, n_cores, strategy, update_golden):
+def test_stats_match_golden(name, n_cores, strategy, update_golden,
+                            icache_accesses):
     payload = _stats_payload(name, n_cores, strategy)
-    path = GOLDEN_DIR / f"{name}_{n_cores}cores_{strategy}.json"
-    _check_golden(path, payload, f"{name} [{n_cores}-core {strategy}]",
-                  update_golden)
+    stem = f"{name}_{n_cores}cores_{strategy}"
+    _check_golden(GOLDEN_DIR / f"{stem}.json", payload,
+                  f"{name} [{n_cores}-core {strategy}]", update_golden)
+    assert icache_accesses[0] == ICACHE_ACCESSES[stem]
