@@ -17,13 +17,16 @@ Entry points:
 """
 
 from .findings import Finding, VerificationReport, merge_reports
-from .mutate import MUTATIONS, MutationRecord, apply_mutation
+from .mutate import (
+    CONSTRUCTION_MUTATIONS, MUTATIONS, MutationRecord, apply_mutation,
+)
 from .oracle import OracleVerdict, check_benchmark, check_program
 from .sanitizer import RaceSanitizer, run_sanitized
 from .verifier import ProgramVerifier, verify_cell, verify_compiled
 
 __all__ = [
     "Finding",
+    "CONSTRUCTION_MUTATIONS",
     "MUTATIONS",
     "MutationRecord",
     "OracleVerdict",

@@ -9,7 +9,7 @@ direct-mode network latency of 1 cycle/hop, queue-mode latency of
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 
@@ -116,6 +116,13 @@ class MachineConfig:
             raise ValueError("cluster_stall_latency cannot be negative")
         if self.coupled_group_size < 1:
             raise ValueError("coupled_group_size must be at least 1")
+
+    @cached_property
+    def rendered(self) -> str:
+        """``repr(self)``, rendered once per config object: every cell's
+        cache key embeds it, and a runner keeps one config per core
+        count (the config is frozen, so the text never goes stale)."""
+        return repr(self)
 
 
 def single_core() -> MachineConfig:

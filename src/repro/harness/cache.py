@@ -131,11 +131,12 @@ def cache_key(
     extra: str = "",
 ) -> str:
     """sha256 over the full run fingerprint.  ``MachineConfig`` is a frozen
-    dataclass tree, so its repr is a complete, stable rendering.  ``extra``
+    dataclass tree, so its repr is a complete, stable rendering (rendered
+    once per config, ``MachineConfig.rendered``).  ``extra``
     folds in any additional run-shaping state (e.g. a fault-injection
     configuration) so perturbed runs never share entries with clean ones."""
     digest = program_key.cell_prefix()
-    digest.update(f"\nconfig {config!r}".encode())
+    digest.update(f"\nconfig {config.rendered}".encode())
     digest.update(f"\nseed {seed} strategy {strategy} "
                   f"max_cycles {max_cycles}".encode())
     if extra:

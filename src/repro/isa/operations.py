@@ -146,6 +146,13 @@ COMM_OPCODES = frozenset(
     }
 )
 
+#: Queue-mode ops: they wait on the operand network, so they may not
+#: appear in a coupled (lock-step) block.  The one definition of that
+#: rule, shared by voltlint's ``queue-op-in-coupled`` check and the
+#: simulator's construction-time proof.  A tuple: membership in a short
+#: tuple is an identity scan, a set lookup hashes the Enum in Python.
+QUEUE_OPS = (Opcode.SEND, Opcode.RECV)
+
 #: Opcodes that terminate or redirect control flow.
 CONTROL_OPCODES = frozenset({Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HALT})
 

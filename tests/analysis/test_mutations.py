@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import MUTATIONS, apply_mutation, verify_compiled
+from repro.analysis import (
+    CONSTRUCTION_MUTATIONS, MUTATIONS, apply_mutation, verify_compiled,
+)
 from repro.api import compile_benchmark
 from repro.arch.config import mesh
+from repro.sim import SimulatorError, VoltronMachine
 
 
 #: Each mutation paired with a cell whose region mix contains an
@@ -74,3 +77,19 @@ def test_clean_cell_stays_clean_without_mutation():
         compiled = compile_benchmark(benchmark, 4, strategy)
         report = verify_compiled(compiled, mesh(4))
         assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_MUTATIONS))
+def test_unfit_coupled_block_is_rejected_at_construction(name):
+    """A coupled block the lock-step kernel could not run never reaches
+    it: building the machine raises, naming the function, block, core
+    and (for a planted op) the op."""
+    compiled = compile_benchmark("rawcaudio", 4, "ilp")
+    record = apply_mutation(compiled, name)
+    assert record is not None, f"{name}: no coupled block in cell"
+    with pytest.raises(SimulatorError) as excinfo:
+        VoltronMachine(compiled, mesh(4))
+    message = str(excinfo.value)
+    assert f"{record.function}:{record.block} on core {record.core}:" in message
+    planted = {"coupled_recv": "recv [source_core=1]", "foreign_opcode": "vmac"}
+    assert planted.get(name, "slots") in message

@@ -134,7 +134,7 @@ class TestGroupLimit:
         small.run()
         config = mesh(8)
         large = VoltronMachine(compiler.compile("hybrid", config), config)
-        assert large.coupled_ensembles == [large.cores]
+        assert large._cluster_penalty == config.cluster_stall_latency
         large.run()
         assert large.final_memory() == small.final_memory()
 

