@@ -36,11 +36,11 @@ class CoreBlock:
     #: pre-decode pass so per-cycle accounting never rebuilds the tuple.
     stat_key: Optional[Tuple[str, str]] = None
     #: Per-slot ``(op, handler, wire, srcs, dest)`` entries (None for NOP
-    #: padding), filled in by the simulator's pre-decode pass; one
-    #: attribute load on the issue path instead of a dictionary probe.
-    #: Entries depend only on the compiled program (handlers close over
-    #: static latencies, indices follow its register numbering), so
-    #: machines sharing an unedited compiled program reuse each other's.
+    #: padding), filled in by the simulator's one-walk pre-decode, which
+    #: rebuilds them for every machine.  The decoupled kernel reads them
+    #: per core; the coupled kernel gathers them across cores into
+    #: per-slot columns (``VoltronMachine._columns``), held by the
+    #: machine, since they name its cores and stats.
     decoded: Optional[Tuple[Optional[tuple], ...]] = None
 
     def __len__(self) -> int:
