@@ -76,7 +76,7 @@ class TestMachineStats:
 
 
 def _core_with_block(slots, label="entry"):
-    core = Core(0, RegisterLayout(()))
+    core = Core(0, RegisterLayout())
     cf = CoreFunction("main", label)
     cf.add_block(CoreBlock(label, slots=slots))
     core.push_frame(cf, return_dest=None)
