@@ -7,7 +7,7 @@ It implements these events of the probe contract:
 ==============================================  ================================================
 event                                           emitted by
 ==============================================  ================================================
-``stall(core, category, cycles)``               ``CoreStats.stall``, stepped or fast-forwarded
+``stall(core, category, cycles, start)``        ``CoreStats.stall``, stepped, fast-forwarded or slept
 ``net_send(cycle, src, dst, kind, seq, arr.)``  ``OperandNetwork.send``
 ``net_recv(cycle, seq)``                        ``OperandNetwork.try_receive`` / ``peek_control``
 ``tx_begin`` / ``tx_commit`` / ``tx_abort``     ``TransactionalMemory``
@@ -201,11 +201,12 @@ class Observability:
 
     # -- probe events (see repro.sim.probe) ----------------------------------------
 
-    def stall(self, core: int, category: str, cycles: int) -> None:
+    def stall(self, core: int, category: str, cycles: int, start=None) -> None:
         """Run-length merge contiguous same-category stall cycles into
-        spans; fast-forward bulk credits arrive here too."""
+        spans; bulk credits arrive here too, a sleeping core's with the
+        cycle they start at."""
         spans = self.stall_spans[core]
-        cycle = self.machine.cycle
+        cycle = self.machine.cycle if start is None else start
         if spans:
             last = spans[-1]
             if last[2] == category and last[0] + last[1] == cycle:
@@ -217,6 +218,9 @@ class Observability:
         """Per-cycle hook from the machine's run loop (stepped cycles
         only; fast-forwarded windows arrive via :meth:`fast_forward_window`)."""
         if cycle % self.config.sample_stride == 0:
+            # Sleeping decoupled cores are credited lazily: bring their
+            # stall counters up to this cycle before reading them.
+            self.machine.awake.settle(cycle + 1)
             self.series.sample(self.machine, cycle)
 
     def mode_switch(self, cycle: int, old: str, new: str) -> None:

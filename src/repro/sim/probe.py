@@ -13,13 +13,16 @@ implements -- a method of the event's name -- at the site that emits
 it.  Events the consumer lacks stay ``None``, so every site is a single
 ``is None`` check, a consumer may implement any subset, and a run with
 no consumer pays only those checks.  Consumers only read machine state:
-an observed run is bit-identical to an unobserved one.
+an observed run is bit-identical to an unobserved one.  The one write
+allowed is ``machine.awake.settle(end)``, which brings the stall counters
+of sleeping decoupled cores up to ``end`` before a consumer reads them in
+``cycle`` (sleepers are otherwise credited when they wake).
 
 =============================================  =================================================
 event                                          emitted by
 =============================================  =================================================
 issue(cycle, core, op)                         machine, where ``ops_executed`` counts an op
-stall(core, category, cycles)                  ``CoreStats.stall``, stepped or fast-forwarded
+stall(core, category, cycles, start)           ``CoreStats.stall``, stepped, fast-forwarded or slept
 load / store(core, op, addr)                   machine, LOAD / STORE handlers
 net_send(cycle, src, dst, kind, seq, arrival)  ``OperandNetwork.send`` (SEND, SPAWN, RELEASE)
 net_recv(cycle, seq)                           ``OperandNetwork.try_receive`` / ``peek_control``
@@ -38,7 +41,10 @@ finalize(machine)                              machine, once after the cycle loo
 
 ``core`` is always a core id.  Events without a ``cycle`` argument
 happen at ``machine.cycle``; during a fast-forward credit that is still
-the window's first cycle.
+the window's first cycle.  A ``stall`` credit covers ``cycles`` cycles
+from ``start`` on: None means ``machine.cycle``, and a sleeping
+decoupled core's bulk credit names the first cycle it slept through
+(it is settled later, at its wake).
 """
 
 from __future__ import annotations

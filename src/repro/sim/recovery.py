@@ -312,7 +312,7 @@ class RecoveryManager:
         register-rollback path.  Returns True when the core went dark
         this cycle (the caller attributes the stall and skips the step).
         """
-        if not self._blackout_eligible(core):
+        if not self.blackout_eligible(core):
             return False
         core_id = core.id
         duration = self.plan.blackout_cycles()
@@ -350,7 +350,7 @@ class RecoveryManager:
             self._degrade_pending.add(core_id)
         return True
 
-    def _blackout_eligible(self, core) -> bool:
+    def blackout_eligible(self, core) -> bool:
         """The recoverable-window gate of :meth:`maybe_blackout`: a live,
         undegraded core inside a transaction whose register checkpoint
         matches its call depth."""
@@ -375,7 +375,7 @@ class RecoveryManager:
         return sum(
             1 for core in self.machine.cores
             if core.status == RUNNING and core.next_free <= cycle
-            and self._blackout_eligible(core)
+            and self.blackout_eligible(core)
         )
 
     def horizon(self, cycle: int) -> int:
@@ -417,6 +417,7 @@ class RecoveryManager:
                  cycle: int) -> None:
         machine = self.machine
         core = machine.cores[core_id]
+        machine.awake.wake(core, cycle)  # settle a sleeper before changing it
         # The existing TM recovery path: abort (discard the write
         # buffer), restore the compiler's register checkpoint, restart
         # the chunk -- identical to a conflict abort at commit.

@@ -53,7 +53,9 @@ class CoreStats:
     #: machine, see :mod:`repro.sim.probe`); not a dataclass field.
     on_stall = None
 
-    def stall(self, category: str, cycles: int = 1) -> None:
+    def stall(self, category: str, cycles: int = 1, start=None) -> None:
+        """Charge ``cycles`` of ``category`` from cycle ``start`` on (None:
+        the machine's current cycle)."""
         try:
             self.stalls[category] += cycles
         except KeyError:
@@ -62,7 +64,7 @@ class CoreStats:
                 f"{STALL_CATEGORIES}"
             ) from None
         if self.on_stall is not None:
-            self.on_stall(category, cycles)
+            self.on_stall(category, cycles, start)
 
     @property
     def total_stalls(self) -> int:

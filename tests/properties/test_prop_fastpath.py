@@ -12,12 +12,17 @@ single-stepping run of the same compiled program.
 
 The clustered leg runs fault-free on a 16-core mesh and a 32-core
 directory mesh with Virtual-Link queues, where the whole machine steps as
-one lock-step ensemble across stall-bus clusters.
+one lock-step ensemble across stall-bus clusters, and on the two
+barrier-heavy cells where most decoupled core-cycles are spent asleep at
+call and mode barriers.
 
 The faulted leg holds fault plans to the same bar: timing, destructive
 and mixed plans on the 4-core machine and on a clustered mesh16, where
 each window must also stop at the next stall-bus or blackout fire and at
-the recovery layer's next action.  Plan seeds derive from
+the recovery layer's next action.  Its DOALL cells (llp, hybrid) spawn
+listening cores; two benchmarks add their tlp cells, whose pipelines
+stall on full queues (send back-pressure, released at the next arrival
+under the link layer).  Plan seeds derive from
 ``CHAOS_SEED`` (see ``test_prop_chaos.py``), so CI's randomized seed
 widens this leg too.
 """
@@ -105,9 +110,41 @@ def test_fast_forward_is_bit_identical_on_clustered_meshes(name):
             )
 
 
+#: (benchmark, machine, strategy) cells whose decoupled cores mostly wait
+#: at call and mode barriers: 852k barrier core-cycles in epic's 17k
+#: cycles on 64 cores, 276k barrier and call_sync ones in 197.parser's 21k
+#: on 32.
+BARRIER_CELLS = (("epic", "mesh64-snoop", "hybrid"),
+                 ("197.parser", "mesh32-directory", "tlp"))
+
+
+@pytest.mark.parametrize("name,machine_name,strategy", BARRIER_CELLS)
+def test_fast_forward_is_bit_identical_on_barrier_heavy_cells(
+    name, machine_name, strategy
+):
+    config = resolve_machine(machine_name)
+    compiled = VoltronCompiler(build(name).program).compile(strategy, config)
+    fast = VoltronMachine(compiled, config, fast_forward=True)
+    slow = VoltronMachine(compiled, config, fast_forward=False)
+    stats = fast.run()
+    assert stats.to_dict() == slow.run().to_dict(), (
+        f"{name} [{machine_name} {strategy}]: fast-forwarded stats diverged "
+        "from single-stepped stats"
+    )
+    assert fast.final_memory() == slow.final_memory()
+    assert sum(core.stalls["barrier"] for core in stats.cores) > stats.cycles
+
+
 # -- the faulted leg -------------------------------------------------------------
 
 FAULTED_BENCHES = ("052.alvinn", "171.swim", "179.art", "epic", "gsmdecode")
+#: The strategies each faulted benchmark runs: tlp where its pipeline
+#: stalls on send back-pressure.
+FAULTED_STRATEGIES = {
+    name: ("llp", "hybrid", "tlp") if name in ("179.art", "epic")
+    else ("llp", "hybrid")
+    for name in FAULTED_BENCHES
+}
 
 #: One plan per profile; rates dense enough that the stall-bus and
 #: blackout channels fire inside stall windows on these cells.
@@ -163,7 +200,7 @@ def test_fast_forward_is_bit_identical_under_faults(name):
     compiler = VoltronCompiler(build(name).program)
     blackouts = stall_holds = 0
     for machine_name, config in FAULTED_MACHINES:
-        for strategy in ("llp", "hybrid"):
+        for strategy in FAULTED_STRATEGIES[name]:
             compiled = compiler.compile(strategy, config)
             for offset, (profile, knobs) in enumerate(FAULT_PROFILES.items()):
                 fault_config = FaultConfig(

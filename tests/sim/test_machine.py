@@ -5,6 +5,7 @@ tests pin down the machine's execution contract independently of the
 compiler.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -447,6 +448,74 @@ class TestTermination:
         # A free core says so instead of inventing a cause.
         core.next_free = 0
         assert "free" in machine._core_diagnostics()
+
+
+class TestDecoupledSleep:
+    """With fast-forwarding on, decoupled cores whose next cycles repeat
+    the stall just charged are not stepped (``AwakeSet``); the stats must
+    match stepping every core."""
+
+    def _racing_senders(self):
+        # Core 0's second SEND waits on an FDIV while the receiver's shared
+        # pool still has room; core 1 fills the pool meanwhile, so the
+        # rest of the wait is back-pressure, not the scoreboard.
+        def decoupled(body):
+            return [("entry", [op(Opcode.MODE_SWITCH, mode="decoupled", align=960)],
+                     None, "body"),
+                    ("body", body + [op(Opcode.HALT)], None, None)]
+
+        blocks = {
+            0: decoupled([
+                op(Opcode.SEND, [], [Imm(1)], target_core=2),
+                op(Opcode.FDIV, [R(1)], [Imm(1.0), Imm(3.0)]),
+                op(Opcode.SEND, [], [R(1)], target_core=2),
+            ]),
+            1: decoupled([op(Opcode.MOV, [R(1)], [Imm(i)]) for i in range(4)]
+                         + [op(Opcode.SEND, [], [R(1)], target_core=2)]),
+            2: decoupled([
+                op(Opcode.FDIV, [R(1)], [Imm(1.0), Imm(3.0)]),
+                op(Opcode.FDIV, [R(2)], [R(1), Imm(3.0)]),
+                op(Opcode.FDIV, [R(3)], [R(2), Imm(3.0)]),
+                op(Opcode.RECV, [R(4)], [], source_core=0),
+                op(Opcode.RECV, [R(5)], [], source_core=1),
+                op(Opcode.RECV, [R(6)], [], source_core=0),
+            ]),
+            3: decoupled([]),
+        }
+        return assemble(4, blocks, modes={"body": "decoupled"})
+
+    def test_send_waiting_on_its_source_stays_awake(self):
+        config = four_core()
+        config = dataclasses.replace(config, network=dataclasses.replace(
+            config.network, queue_policy="vlink", queue_depth=2))
+        fast, slow = (
+            run(self._racing_senders(), config, fast_forward=ff).stats
+            for ff in (True, False)
+        )
+        stalls = slow.cores[0].stalls
+        assert stalls["latency"] > 0 and stalls["send"] > 0
+        assert fast.to_dict() == slow.to_dict()
+
+    def test_waiting_cores_are_not_stepped(self, monkeypatch):
+        from repro.arch.config import resolve_machine
+        from repro.compiler import VoltronCompiler
+        from repro.workloads.suite import build
+
+        # Most of this cell's decoupled core-cycles are barrier waits.
+        config = resolve_machine("mesh32-directory")
+        compiled = VoltronCompiler(build("197.parser").program).compile("tlp", config)
+        step = VoltronMachine._step_decoupled
+        stats, steps = {}, {}
+        for fast_forward in (True, False):
+            calls = []
+            monkeypatch.setattr(
+                VoltronMachine, "_step_decoupled",
+                lambda machine, core, calls=calls: calls.append(core) or step(machine, core),
+            )
+            stats[fast_forward] = run(compiled, config, fast_forward=fast_forward).stats
+            steps[fast_forward] = len(calls)
+        assert stats[True].to_dict() == stats[False].to_dict()
+        assert steps[True] * 3 < steps[False]
 
 
 class TestProgramArgs:
