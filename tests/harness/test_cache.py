@@ -50,6 +50,31 @@ PINNED_REFERENCE_KEY = (
     "c1402f4b5c9d90114a6b6dd6c8ef9a1068d096b33f940fcaa712ea8413978f99"
 )
 
+#: Cell keys of ``BENCH`` (seed 1, default ``max_cycles``) in sessions
+#: spelled the ways the ledger spells them -- a preset, a preset plus a
+#: flat override, a fault config, overrides alone -- pinned as literals:
+#: however the runner derives each core count's config from its machine,
+#: the config must render the same text, or every such cache entry and
+#: journal is orphaned.
+VLINK = {"queue_policy": "vlink"}
+PINNED_SESSION_KEYS = [
+    ("mesh16-snoop", dict(machine="mesh16-snoop"), 16, "hybrid",
+     "0fc3e730713de66559910f23ddf85842d296de660b9baf806f54ead918568f06"),
+    ("mesh16-snoop-baseline", dict(machine="mesh16-snoop"), 1, "baseline",
+     "73a9f762b3919ee2e329ba3748772b32f49fbaf21cab07fdc64c6af5869f960b"),
+    ("mesh32-directory-vlink",
+     dict(machine="mesh32-directory", config_overrides=VLINK), 32, "hybrid",
+     "7e054a8684e8f691779df44a007d4b3427ebda782d49c1d5475db38c10dfeeb9"),
+    ("mesh64-snoop", dict(machine="mesh64-snoop"), 64, "ilp",
+     "96dbcaba0a72f67df8879c6f695fb4b17201e71eeeee71009e5e920c6d1be811"),
+    ("mesh16-directory-vlink-faults",
+     dict(machine="mesh16-directory", config_overrides=VLINK,
+          faults=FaultConfig(profile="both", seed=1)), 16, "tlp",
+     "cf1d36c41fc14525a9fbdc6b99ec2af507ce8ed168ef62ea44270d59f887872e"),
+    ("queue-depth-4", dict(config_overrides={"queue_depth": 4}), 4, "llp",
+     "7ebb1761039ad1e0f2c09fe7d5aaa30973b361c8356b5c4389b0ec27e6fedf4e"),
+]
+
 #: The nine cells the paper's grid runs per benchmark: the 1-core
 #: baseline, then every strategy at 2 and 4 cores.
 GRID_CELLS = [(1, "baseline")] + [
@@ -187,6 +212,16 @@ class TestKeys:
             "cache": PINNED_CELL_KEY,
             "reference": PINNED_REFERENCE_KEY,
         }
+
+
+    @pytest.mark.parametrize(
+        "keywords, n_cores, strategy, pinned",
+        [case[1:] for case in PINNED_SESSION_KEYS],
+        ids=[case[0] for case in PINNED_SESSION_KEYS],
+    )
+    def test_session_cell_keys_are_pinned(self, keywords, n_cores, strategy, pinned):
+        runner = api.session([BENCH], **keywords)
+        assert runner._cell_key(BENCH, n_cores, strategy) == pinned
 
 
 class TestProgramKeyMemo:
