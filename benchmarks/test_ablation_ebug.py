@@ -10,7 +10,7 @@ miss-dominated 179.art.
 
 import pytest
 
-from repro.arch.config import mesh, single_core
+from repro.arch.config import mesh
 from repro.compiler import VoltronCompiler
 from repro.compiler.partition.ebug import EBugPartitioner
 from repro.sim import VoltronMachine
@@ -27,8 +27,8 @@ def _tlp_cycles(program):
 def test_ablation_ebug_weights(benchmark):
     bench = build("179.art")
     baseline = VoltronMachine(
-        VoltronCompiler(bench.program).compile("baseline", single_core()),
-        single_core(),
+        VoltronCompiler(bench.program).compile("baseline", mesh(1)),
+        mesh(1),
     ).run().cycles
 
     with_weights = _tlp_cycles(bench.program)

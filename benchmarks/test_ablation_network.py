@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.arch.config import MachineConfig, NetworkConfig, mesh, single_core
+from repro.arch.config import MachineConfig, NetworkConfig, mesh
 from repro.compiler import VoltronCompiler
 from repro.sim import VoltronMachine
 from repro.workloads.suite import build
@@ -41,7 +41,7 @@ def test_ablation_queue_network_latency(benchmark):
     bench = build("164.gzip")  # its match loop communicates every iteration
     compiler = VoltronCompiler(bench.program)
     baseline = VoltronMachine(
-        compiler.compile("baseline", single_core()), single_core()
+        compiler.compile("baseline", mesh(1)), mesh(1)
     ).run().cycles
 
     fast = _tlp_cycles(bench)

@@ -8,7 +8,7 @@ conflicts degrade toward (but never below a constant factor of) serial
 execution, and results stay exact throughout.
 """
 
-from repro.arch.config import four_core, single_core
+from repro.arch.config import mesh
 from repro.compiler import VoltronCompiler
 from repro.isa import ProgramBuilder, run_program
 from repro.sim import VoltronMachine
@@ -38,12 +38,12 @@ def _histogram_program():
 def test_ablation_misspeculation_cost(benchmark):
     program = _histogram_program()
     compiler = VoltronCompiler(program, profile_args=(0,))
-    compiled = compiler.compile("llp", four_core())
+    compiled = compiler.compile("llp", mesh(4))
     table = compiled.attrs["regions"]
     assert any(e["strategy"] == "doall" for e in table.values())
 
     serial = VoltronMachine(
-        compiler.compile("baseline", single_core()), single_core(), args=(0,)
+        compiler.compile("baseline", mesh(1)), mesh(1), args=(0,)
     ).run().cycles
 
     print()
@@ -51,7 +51,7 @@ def test_ablation_misspeculation_cost(benchmark):
     rows = []
     for hot in (0, 8, 48, N):
         reference = run_program(program, (hot,))
-        machine = VoltronMachine(compiled, four_core(), args=(hot,))
+        machine = VoltronMachine(compiled, mesh(4), args=(hot,))
         stats = machine.run()
         assert machine.array_values("bins") == reference.array_values(
             program, "bins"
@@ -71,6 +71,6 @@ def test_ablation_misspeculation_cost(benchmark):
     assert worst_speedup > 0.4
 
     benchmark.pedantic(
-        lambda: VoltronMachine(compiled, four_core(), args=(N,)).run().cycles,
+        lambda: VoltronMachine(compiled, mesh(4), args=(N,)).run().cycles,
         rounds=1, iterations=1, warmup_rounds=0,
     )

@@ -9,7 +9,7 @@ the per-core streams, and the runtime mode/stall statistics.
     python examples/dual_mode_walkthrough.py
 """
 
-from repro.arch import four_core, single_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.isa import ProgramBuilder, run_program
 from repro.sim import VoltronMachine
@@ -40,7 +40,7 @@ def build_program():
 def main():
     program, outputs = build_program()
     compiler = VoltronCompiler(program)
-    compiled = compiler.compile("hybrid", four_core())
+    compiled = compiler.compile("hybrid", mesh(4))
 
     print("== region decisions ==")
     seen = set()
@@ -63,10 +63,10 @@ def main():
 
     reference = run_program(program)
     baseline = VoltronMachine(
-        compiler.compile("baseline", single_core()), single_core()
+        compiler.compile("baseline", mesh(1)), mesh(1)
     )
     base_cycles = baseline.run().cycles
-    machine = VoltronMachine(compiled, four_core())
+    machine = VoltronMachine(compiled, mesh(4))
     stats = machine.run()
     for out in outputs:
         assert machine.array_values(out) == reference.array_values(program, out)

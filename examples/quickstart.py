@@ -8,7 +8,7 @@ check, printing speedup and mode statistics.
     python examples/quickstart.py
 """
 
-from repro.arch import four_core, single_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.isa import ProgramBuilder, run_program
 from repro.sim import VoltronMachine
@@ -42,17 +42,17 @@ def main():
     # 2. Compile: profiling -> region selection -> partitioning ->
     #    scheduling -> per-core machine code.
     compiler = VoltronCompiler(program)
-    baseline = compiler.compile("baseline", single_core())
-    hybrid = compiler.compile("hybrid", four_core())
+    baseline = compiler.compile("baseline", mesh(1))
+    hybrid = compiler.compile("hybrid", mesh(4))
     regions = {
         entry["strategy"] for entry in hybrid.attrs["regions"].values()
     }
     print(f"hybrid compile chose region strategies: {sorted(regions)}")
 
     # 3. Simulate both machines.
-    base_machine = VoltronMachine(baseline, single_core())
+    base_machine = VoltronMachine(baseline, mesh(1))
     base_stats = base_machine.run()
-    machine = VoltronMachine(hybrid, four_core())
+    machine = VoltronMachine(hybrid, mesh(4))
     stats = machine.run()
 
     # 4. Check correctness against the interpreter.

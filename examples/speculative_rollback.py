@@ -12,7 +12,7 @@ produces exactly the serial result.
     python examples/speculative_rollback.py
 """
 
-from repro.arch import four_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.isa import ProgramBuilder, run_program
 from repro.sim import VoltronMachine
@@ -44,13 +44,13 @@ def main():
     # Profile with the clean (conflict-free) input, as the paper profiles
     # with a train input.
     compiler = VoltronCompiler(program, profile_args=(0,))
-    compiled = compiler.compile("llp", four_core())
+    compiled = compiler.compile("llp", mesh(4))
     strategies = {e["strategy"] for e in compiled.attrs["regions"].values()}
     print(f"compiler classified the loop as: {sorted(strategies)}")
 
     for which, label in ((0, "clean permutation"), (1, "hot-bin input")):
         reference = run_program(program, (which,))
-        machine = VoltronMachine(compiled, four_core(), args=(which,))
+        machine = VoltronMachine(compiled, mesh(4), args=(which,))
         stats = machine.run()
         ok = machine.array_values("bins") == reference.array_values(
             program, "bins"

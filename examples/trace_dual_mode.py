@@ -8,7 +8,7 @@ and the TX_BEGIN/TX_COMMIT envelopes visible.
     python examples/trace_dual_mode.py
 """
 
-from repro.arch import four_core
+from repro.arch import mesh
 from repro.compiler import compile_program
 from repro.harness import Tracer
 from repro.isa import ProgramBuilder
@@ -29,7 +29,7 @@ def main():
 
     compiled = compile_program(program, 4, "hybrid")
     tracer = Tracer(limit=50_000)
-    VoltronMachine(compiled, four_core(), obs=tracer).run()
+    VoltronMachine(compiled, mesh(4), obs=tracer).run()
 
     # Find the first mode switch: the coupled->decoupled boundary.
     switch = next(

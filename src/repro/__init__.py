@@ -8,7 +8,8 @@ statistical loop-level parallelism -- in single-thread applications.
 The stable entry points live in :mod:`repro.api` and are re-exported
 here: ``repro.run_cell(...)``, ``repro.run_figure(...)``,
 ``repro.list_benchmarks()``, ``repro.compile_benchmark(...)``, and
-``repro.session(...)``.
+``repro.session(...)`` (the :class:`~repro.harness.ExperimentRunner`
+class itself: one session, one machine template).
 
 Internal layers (importable, but their signatures are not the contract):
 

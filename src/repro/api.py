@@ -26,10 +26,15 @@ full :class:`~repro.arch.MachineConfig`.  ``faults=`` is canonical for
 fault configs, and serialized results carry ``schema_version`` (see
 :data:`repro.harness.experiments.SCHEMA_VERSION`).
 
-Sessions run their pool work under one liveness rule: ``cell_timeout``
-seconds per cell, counted from the moment a worker task is submitted.
-Overdue or crashed work is retried with exponential backoff, then re-run
-serially in-process.
+:func:`session` is :class:`~repro.harness.experiments.ExperimentRunner`
+itself, whose docstring lists its keywords: a session resolves
+``machine=`` and ``config_overrides=`` into one machine template, and
+simulates each core count on that template's knobs (at the template's
+own core count, on the template as given).  Sessions run their pool
+work under one liveness rule: ``cell_timeout`` seconds per cell,
+counted from the moment a worker task is submitted.  Overdue or crashed
+work is retried with exponential backoff, then re-run serially
+in-process.
 
 The facade re-implements none of the harness: :func:`run_figure` looks
 its figure up in the one figure table
@@ -40,15 +45,11 @@ and :func:`verify_benchmark` runs the same static and dynamic checks as
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from .arch.config import (
-    MachineSpec,
-    machine_overrides,
-    resolve_machine,
-)
-from .arch.config import list_presets as _arch_list_presets
+from .arch.config import MachineSpec, list_presets, mesh, resolve_machine
 from .compiler.driver import VoltronCompiler
 from .harness import figures
 from .harness.experiments import ExperimentRunner, RunResult
@@ -62,11 +63,9 @@ from .workloads.suite import BENCHMARKS, build
 #: (speedups at 4/16/32 cores for every strategy).
 FIGURES = tuple(figures.FIGURES)
 
-def list_presets() -> List[str]:
-    """Names accepted wherever ``machine=`` takes a preset string:
-    ``single``/``two``/``four``/``mesh16``/``mesh32``/``mesh64``, each
-    also in ``-snoop``/``-directory`` coherence variants."""
-    return _arch_list_presets()
+#: A reusable experiment session (shared builds, cache, worker pool):
+#: the runner itself, under the API's name.
+session = ExperimentRunner
 
 
 def list_benchmarks(
@@ -160,64 +159,6 @@ def verify_benchmark(
     return report
 
 
-def session(
-    benchmarks: Optional[Sequence[str]] = None,
-    *,
-    machine: Optional[MachineSpec] = None,
-    seed: int = 1,
-    max_cycles: int = 50_000_000,
-    cache_dir: Optional[Union[str, Path]] = None,
-    jobs: int = 1,
-    cell_timeout: Optional[float] = None,
-    faults: Optional[FaultConfig] = None,
-    config_overrides: Optional[Dict[str, object]] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    max_abandoned: int = 0,
-) -> ExperimentRunner:
-    """A reusable experiment session (shared builds, cache, worker pool).
-
-    Use this instead of constructing :class:`ExperimentRunner` directly;
-    the keyword names here are the stable ones.  ``machine=`` shapes
-    every cell the session runs: its non-default knobs (coherence
-    protocol, queue policy, latencies, ...) apply at *every* core count
-    the session touches -- a session serves figures spanning several
-    core counts, so the spec's own core count and mesh shape stay per
-    cell.  ``config_overrides`` applies flat machine-config tweaks
-    (``queue_depth``, ``queue_cycles_per_hop``, ``memory_latency``,
-    ``tm_commit_latency``, ...) on top -- the knob the design-space
-    sweep turns; explicit overrides win over ``machine=``-derived ones.
-
-    ``journal=`` arms the crash-safe write-ahead
-    :class:`~repro.harness.journal.RunJournal`: one fsynced JSONL record
-    per cell lifecycle event, so an interrupted session resumes with
-    ``resume=True`` (cells with a durable ``completed`` record replay
-    from the cache, bit-identical, with zero re-simulation).
-    ``cell_timeout`` is the pool's one liveness deadline: seconds per
-    cell, counted from each worker task's submission.
-    ``max_abandoned`` bounds how many poisoned cells the session absorbs
-    as ``abandoned`` before raising.
-    """
-    if machine is not None:
-        derived = machine_overrides(
-            resolve_machine(machine), include_shape=False
-        )
-        config_overrides = {**derived, **(config_overrides or {})} or None
-    return ExperimentRunner(
-        benchmarks=benchmarks,
-        seed=seed,
-        max_cycles=max_cycles,
-        cache_dir=cache_dir,
-        jobs=jobs,
-        cell_timeout=cell_timeout,
-        faults=faults,
-        config_overrides=config_overrides,
-        journal=journal,
-        resume=resume,
-        max_abandoned=max_abandoned,
-    )
-
-
 def run_cell(
     benchmark: str,
     machine: MachineSpec,
@@ -245,12 +186,12 @@ def run_cell(
     config = resolve_machine(machine)
     runner = ExperimentRunner(
         benchmarks=[benchmark],
+        machine=config,
         seed=seed,
         max_cycles=max_cycles,
         cache_dir=None if obs is not None else cache_dir,
         faults=faults,
         obs=obs,
-        config_overrides=machine_overrides(config) or None,
     )
     return runner.run(benchmark, config.n_cores, strategy)
 
@@ -273,12 +214,13 @@ def run_figure(
 
     ``figure`` is one of :data:`FIGURES`.  ``machine`` overrides the
     figure's default core counts unless the figure fixes them (7-9, 10
-    and 11) and applies the spec's non-default machine knobs
-    (coherence, queue policy, ...) to every cell.  Pass an
-    existing ``runner`` (from :func:`session`) to share builds and cache
-    across several figures -- hand the machine spec to the session in
-    that case.  ``journal=``/``resume=`` make the figure run crash-safe
-    and resumable (see :func:`session`).
+    and 11) and is the session's machine (see :func:`session`): its
+    knobs (coherence, queue policy, ...) apply to every cell, and its
+    mesh shape to the cells at its own core count.  Pass an existing
+    ``runner`` (from :func:`session`) to share builds and cache across
+    several figures -- hand the machine spec to the session in that
+    case.  ``journal=``/``resume=`` make the figure run crash-safe and
+    resumable (see :func:`session`).
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
@@ -295,9 +237,9 @@ def run_figure(
             journal=journal,
             resume=resume,
         )
-    elif config is not None and machine_overrides(config, include_shape=False):
+    elif config is not None and config != mesh(config.n_cores):
         raise ValueError(
-            "this machine spec carries config overrides; pass machine= "
+            "this machine spec is not a standard mesh; pass machine= "
             "to session() instead when sharing a runner across figures"
         )
     return figures.figure_table(
@@ -354,13 +296,11 @@ def sweep(
     ]
     core_axis = tuple(dict.fromkeys(config.n_cores for config in resolved))
     for config in resolved:
-        extra = machine_overrides(config, include_shape=False)
-        extra.pop("coherence", None)
-        if extra:
+        if replace(config, coherence="snoop") != mesh(config.n_cores):
             raise ValueError(
                 "sweep machine entries may only vary core count and "
-                f"coherence; put {sorted(extra)} on the dedicated sweep "
-                "axes instead"
+                f"coherence; the {config.n_cores}-core entry's other knobs "
+                "belong on the dedicated sweep axes"
             )
     if coherences is None:
         coherences = tuple(

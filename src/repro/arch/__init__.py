@@ -10,14 +10,10 @@ from .config import (
     MachineSpec,
     NetworkConfig,
     apply_overrides,
-    four_core,
     list_presets,
-    machine_overrides,
     mesh,
     preset,
     resolve_machine,
-    single_core,
-    two_core,
 )
 
 __all__ = [
@@ -26,14 +22,10 @@ __all__ = [
     "MachineSpec",
     "NetworkConfig",
     "apply_overrides",
-    "four_core",
     "list_presets",
-    "machine_overrides",
     "mesh",
     "preset",
     "resolve_machine",
-    "single_core",
-    "two_core",
     "DIRECTIONS",
     "Mesh",
     "opposite",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -125,19 +125,6 @@ class MachineConfig:
         return repr(self)
 
 
-def single_core() -> MachineConfig:
-    """The paper's baseline: one single-issue core, same cache sizes."""
-    return MachineConfig(n_cores=1, mesh_shape=(1, 1))
-
-
-def two_core() -> MachineConfig:
-    return MachineConfig(n_cores=2, mesh_shape=(1, 2))
-
-
-def four_core() -> MachineConfig:
-    return MachineConfig(n_cores=4, mesh_shape=(2, 2))
-
-
 #: Flat override keys accepted by :func:`apply_overrides`, split by the
 #: dataclass they land on.  Network knobs are addressable without the
 #: ``network.`` prefix so sweep specs stay one flat mapping.
@@ -194,12 +181,10 @@ def mesh(n_cores: int) -> MachineConfig:
     the smallest enclosing near-square rectangle instead: cores fill
     row-major and the unoccupied tail positions are holes the router
     detours around (XY falls back to YX, which always works because
-    holes only ever occupy the end of the last row).  Built once per
-    count: the config is frozen, so every caller can share it.
+    holes only ever occupy the end of the last row).  The paper's
+    machines come out as 1x1, 1x2 and 2x2.  Built once per count: the
+    config is frozen, so every caller can share it.
     """
-    presets = {1: single_core, 2: two_core, 4: four_core}
-    if n_cores in presets:
-        return presets[n_cores]()
     if n_cores < 1:
         raise ValueError("need at least one core")
     root = int(n_cores**0.5)
@@ -215,17 +200,17 @@ def mesh(n_cores: int) -> MachineConfig:
     return MachineConfig(n_cores=n_cores, mesh_shape=best[1])
 
 
-#: Named machine presets: the paper's three shapes plus the scaled
-#: meshes this repo adds beyond the paper's grid.  Each base name also
-#: exists in ``-snoop`` / ``-directory`` coherence variants (the bare
-#: name is the snoop default).
-_BASE_PRESETS: Dict[str, Callable[[], MachineConfig]] = {
-    "single": single_core,
-    "two": two_core,
-    "four": four_core,
-    "mesh16": lambda: mesh(16),
-    "mesh32": lambda: mesh(32),
-    "mesh64": lambda: mesh(64),
+#: Named machine presets, each the :func:`mesh` of its core count: the
+#: paper's three machines plus the scaled meshes this repo adds beyond
+#: the paper's grid.  Each base name also exists in ``-snoop`` /
+#: ``-directory`` coherence variants (the bare name is the snoop default).
+_BASE_PRESETS: Dict[str, int] = {
+    "single": 1,
+    "two": 2,
+    "four": 4,
+    "mesh16": 16,
+    "mesh32": 32,
+    "mesh64": 64,
 }
 
 _COHERENCE_VARIANTS = ("snoop", "directory")
@@ -246,13 +231,12 @@ def preset(name: str) -> MachineConfig:
     and ``"<base>-snoop"`` pin the coherence protocol explicitly.
     """
     base, dash, variant = name.partition("-")
-    factory = _BASE_PRESETS.get(base)
-    if factory is None or (dash and variant not in _COHERENCE_VARIANTS):
+    if base not in _BASE_PRESETS or (dash and variant not in _COHERENCE_VARIANTS):
         raise KeyError(
             f"unknown machine preset {name!r}; "
             f"expected one of: {', '.join(list_presets())}"
         )
-    config = factory()
+    config = mesh(_BASE_PRESETS[base])
     if dash:
         config = replace(config, coherence=variant)
     return config
@@ -285,32 +269,3 @@ def resolve_machine(machine: MachineSpec) -> MachineConfig:
         f"MachineConfig, not {type(machine).__name__}"
     )
 
-
-def machine_overrides(
-    config: MachineConfig, *, include_shape: bool = True
-) -> Dict[str, object]:
-    """Flat override mapping reducing ``config`` to (n_cores, diffs).
-
-    The diffs are relative to the standard :func:`mesh` preset for the
-    config's core count, in exactly the shape :func:`apply_overrides`
-    accepts -- so any machine spec can ride the existing
-    ``config_overrides`` plumbing (runners, workers, cache keys).  With
-    ``include_shape=False`` the mesh shape is left to the per-core-count
-    default, for drivers that re-derive machines at several core counts
-    (figure grids) from one override set.
-    """
-    base = mesh(config.n_cores)
-    overrides: Dict[str, object] = {}
-    for spec in fields(MachineConfig):
-        if spec.name in ("n_cores", "network"):
-            continue
-        if not include_shape and spec.name == "mesh_shape":
-            continue
-        value = getattr(config, spec.name)
-        if value != getattr(base, spec.name):
-            overrides[spec.name] = value
-    for spec in fields(NetworkConfig):
-        value = getattr(config.network, spec.name)
-        if value != getattr(base.network, spec.name):
-            overrides[spec.name] = value
-    return overrides

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..arch.config import MachineConfig, mesh, single_core
+from ..arch.config import MachineConfig, mesh
 from ..isa.interp import InterpResult
 from ..isa.machinecode import CompiledProgram
 from ..isa.program import Program
@@ -65,7 +65,7 @@ class VoltronCompiler:
                 f"unknown strategy {strategy!r}; pick one of {STRATEGIES}"
             )
         if strategy == "baseline":
-            config = config or single_core()
+            config = config or mesh(1)
             if config.n_cores != 1:
                 raise ValueError("the baseline strategy targets one core")
         elif config is None:
@@ -84,5 +84,5 @@ def compile_program(
     """One-shot convenience wrapper around :class:`VoltronCompiler`."""
     compiler = VoltronCompiler(program, profile_args)
     if strategy == "baseline" or n_cores == 1:
-        return compiler.compile("baseline", single_core())
+        return compiler.compile("baseline", mesh(1))
     return compiler.compile(strategy, mesh(n_cores))

@@ -176,6 +176,11 @@ class ResultCache:
         self.misses = 0
         self.quarantined = 0
 
+    @property
+    def tallies(self) -> Dict[str, int]:
+        """Probe traffic so far, as the cache report line reads it."""
+        return {"hits": self.hits, "misses": self.misses, "quarantined": self.quarantined}
+
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 

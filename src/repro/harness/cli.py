@@ -22,8 +22,10 @@ generated-workload handles (``gen:<seed>[:<knobs-hash>]``, see
 integer core count (any size -- primes get a near-square mesh with
 holes) or a preset name from ``repro.list_presets()`` such as
 ``four``, ``mesh16``, or ``mesh32-directory``; ``sweep --machines``
-takes a list of them.  (``verify --cores`` is not a machine spelling:
-it filters the core counts to verify.)
+takes a list of them (one helper adds both flags).  The spec becomes
+the session's machine (``repro.session(machine=...)``): its knobs apply
+at every core count a command runs.  (``verify --cores`` is not a
+machine spelling: it filters the core counts to verify.)
 
 ``figure`` prints one entry of the figure table
 (:data:`repro.harness.figures.FIGURES`), the same entry
@@ -120,15 +122,24 @@ def _machine_spec(value: str):
         return value
 
 
-def _add_machine_option(subparser: argparse.ArgumentParser, help_tail="") -> None:
+#: The ``--machine`` help every command starts from.
+MACHINE_HELP = (
+    "machine spec: a core count (any size) or a preset name "
+    "from repro.list_presets(), e.g. mesh16 or mesh32-directory"
+)
+
+
+def _add_machine_option(
+    subparser: argparse.ArgumentParser, help: str, nargs: Optional[str] = None
+) -> None:
+    """``--machine SPEC``, or with ``nargs`` the list flag ``--machines``."""
     subparser.add_argument(
-        "--machine",
+        "--machines" if nargs else "--machine",
+        nargs=nargs,
         type=_machine_spec,
         default=None,
         metavar="SPEC",
-        help="machine spec: a core count (any size) or a preset name "
-        "from repro.list_presets(), e.g. mesh16 or mesh32-directory"
-        + help_tail,
+        help=help,
     )
 
 
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a suite benchmark or a generated handle "
         "(gen:<seed>[:<knobs-hash>])",
     )
-    _add_machine_option(run, help_tail=" (default: 4 cores)")
+    _add_machine_option(run, MACHINE_HELP + " (default: 4 cores)")
     run.add_argument(
         "--strategy",
         default="hybrid",
@@ -311,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_machine_option(
         figure,
-        help_tail="; overrides the figure's core count where it has one "
+        MACHINE_HELP + "; overrides the figure's core count where it has one "
         "and applies the spec's machine knobs to every cell",
     )
     _add_flags(figure, "runner", "faults")
@@ -354,15 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ilp", "tlp", "llp", "hybrid"),
         help="strategies to frontier (default: all four)",
     )
-    sweep.add_argument(
-        "--machines",
-        nargs="*",
-        type=_machine_spec,
-        default=None,
-        metavar="SPEC",
-        help="machine specs spanning the mesh-size axis: core counts "
+    _add_machine_option(
+        sweep,
+        "machine specs spanning the mesh-size axis: core counts "
         "and/or preset names (default 2 4); coherence-variant presets "
         "seed the coherence axis unless --coherences pins it",
+        nargs="*",
     )
     sweep.add_argument(
         "--coherences",
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_machine_option(
         verify,
-        help_tail="; sets the core counts to verify (unless --cores "
+        MACHINE_HELP + "; sets the core counts to verify (unless --cores "
         "overrides them) and applies the spec's machine knobs "
         "(coherence, queue policy, ...) to every cell",
     )
@@ -584,28 +592,16 @@ def _cmd_sweep(args, out) -> int:
         print(f"bad sweep spec: {error}", file=out)
         return 2
     print(render_frontiers(document), file=out)
-    cache = document["cache"]
-    if args.no_cache:
-        print("cache     : disabled", file=out)
-    else:
-        print(
-            f"cache     : {cache['hits']} hit(s), {cache['misses']} miss(es), "
-            f"quarantined={cache['quarantined']} in {args.cache_dir}",
-            file=out,
-        )
     failures = dict(document["failures"])
     attempts = failures.pop("attempts")
-    print(render_failures(FailureSummary(**failures), attempts), file=out)
-    journal_doc = document.get("journal")
-    if journal_doc:
-        print(
-            f"journal   : {journal_doc['replayed']} replayed / "
-            f"{journal_doc['rerun']} re-run / "
-            f"{journal_doc['abandoned']} abandoned "
-            f"({journal_doc['path']})",
-            file=out,
-        )
-    print(f"artifact  : {args.out}", file=out)
+    journal = document.get("journal")
+    _print_lines(
+        out,
+        render_cache_line(None if args.no_cache else document["cache"], args.cache_dir),
+        render_failures(FailureSummary(**failures), attempts),
+        render_journal_line(journal, journal["path"]) if journal else "",
+        f"artifact  : {args.out}",
+    )
     return 0
 
 
@@ -631,13 +627,19 @@ def _print_session_lines(runner, out) -> None:
     """The report lines every run/figure command ends with: cache
     traffic, faults, recovery, failures and journal (the optional ones
     only when they have something to say)."""
-    lines = [
-        render_cache_line(runner),
+    cache, journal = runner.cache, runner.journal
+    _print_lines(
+        out,
+        render_cache_line(cache.tallies, cache.root) if cache else render_cache_line(None),
         render_fault_line(runner),
         render_recovery_line(runner),
         render_failure_line(runner),
-        render_journal_line(runner),
-    ]
+        render_journal_line(runner.journal_stats, journal.path) if journal else "",
+    )
+
+
+def _print_lines(out, *lines: str) -> None:
+    """Print the report lines that have something to say."""
     for line in lines:
         if line:
             print(line, file=out)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..arch.config import MachineConfig, apply_overrides, mesh
+from ..arch.config import MachineConfig, MachineSpec, apply_overrides, mesh, resolve_machine
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..isa.registers import Value
@@ -185,7 +185,7 @@ class WorkerTask:
     max_cycles: int
     cache_dir: Optional[str]
     faults: Optional[FaultConfig]
-    config_overrides: Optional[Dict[str, object]]
+    machine: MachineConfig
 
     def cell_list(self) -> List[Cell]:
         return [(self.benchmark, n_cores, s) for n_cores, s in self.cells]
@@ -204,7 +204,7 @@ def _run_cells_worker(task: WorkerTask) -> List[Dict[str, object]]:
         max_cycles=task.max_cycles,
         cache_dir=task.cache_dir,
         faults=task.faults,
-        config_overrides=task.config_overrides,
+        machine=task.machine,
     )
     return [
         runner.run(task.benchmark, n_cores, strategy).to_dict()
@@ -213,11 +213,36 @@ def _run_cells_worker(task: WorkerTask) -> List[Dict[str, object]]:
 
 
 class ExperimentRunner:
-    """Builds, compiles, simulates, and caches the whole suite."""
+    """Builds, compiles, simulates, and caches the whole suite: a
+    reusable experiment session (shared builds, cache, worker pool),
+    exported as ``repro.session``.  Its keyword names are the stable API.
+
+    ``machine=`` is the session's machine: an int core count, a preset
+    name, or a full :class:`~repro.arch.MachineConfig` (default: the
+    standard mesh).  ``config_overrides`` applies flat machine-config tweaks
+    (``queue_depth``, ``queue_cycles_per_hop``, ``memory_latency``,
+    ``tm_commit_latency``, ...) on top -- the knob the design-space
+    sweep turns.  The two resolve into one template, :attr:`machine`,
+    whose knobs apply at every core count the session touches (see
+    :meth:`machine_config`): a session serves figures spanning several
+    core counts.
+
+    ``journal=`` arms the crash-safe write-ahead
+    :class:`~repro.harness.journal.RunJournal`: one fsynced JSONL record
+    per cell lifecycle event, so an interrupted session resumes with
+    ``resume=True`` (cells with a durable ``completed`` record replay
+    from the cache, bit-identical, with zero re-simulation).
+    ``cell_timeout`` is the pool's one liveness deadline: seconds per
+    cell, counted from each worker task's submission.
+    ``max_abandoned`` bounds how many poisoned cells the session absorbs
+    as ``abandoned`` before raising.
+    """
 
     def __init__(
         self,
         benchmarks: Optional[Sequence[str]] = None,
+        *,
+        machine: Optional[MachineSpec] = None,
         seed: int = 1,
         max_cycles: int = 50_000_000,
         cache_dir: Optional[Union[str, Path]] = None,
@@ -260,11 +285,12 @@ class ExperimentRunner:
         #: re-raises (0 = the first failure propagates immediately,
         #: after being journaled).
         self.max_abandoned = max(0, max_abandoned)
-        #: Flat machine-config overrides (queue depth, hop latency, TM
-        #: commit cost, ...) applied on top of the per-core-count default
-        #: shape; the sweep driver explores the design space through
-        #: this.  Folded into every cache key via the config's repr.
-        self.config_overrides = dict(config_overrides) if config_overrides else None
+        #: The machine template: ``machine=`` with ``config_overrides``
+        #: applied.  Folded into every cache key via the config's repr.
+        self.machine = apply_overrides(
+            resolve_machine(1 if machine is None else machine),
+            config_overrides,
+        )
         #: Observability bus for the next simulated cell (single-use: the
         #: first uncached simulation consumes it).
         self.obs = obs
@@ -299,8 +325,8 @@ class ExperimentRunner:
         #: The pool entry point; tests swap in crashing/hanging doubles.
         self._worker_fn = _run_cells_worker
         self._built: Dict[str, Benchmark] = {}
-        #: Core count -> its machine shape (a pure function of the core
-        #: count and this runner's overrides); every cell keys on it.
+        #: Core count -> its machine (a pure function of the core count
+        #: and the template); every cell keys on it.
         self._configs: Dict[int, MachineConfig] = {}
         #: Benchmark name -> its program's key state: the fingerprint is
         #: rendered once per runner, and every key of that program hashes
@@ -321,13 +347,22 @@ class ExperimentRunner:
         return self._built[name]
 
     def machine_config(self, n_cores: int) -> MachineConfig:
-        """The machine shape simulated for ``n_cores``: the standard
-        mesh preset with this runner's overrides applied on top."""
-        if n_cores not in self._configs:
-            self._configs[n_cores] = apply_overrides(
-                mesh(n_cores), self.config_overrides
-            )
-        return self._configs[n_cores]
+        """The machine simulated for ``n_cores``: the template itself at
+        its own core count, elsewhere its knobs on ``mesh(n_cores)``'s
+        shape.  A template equal to the standard mesh stands for the
+        shared ``mesh(n_cores)``, whose rendered text every runner
+        reuses."""
+        config = self._configs.get(n_cores)
+        if config is None:
+            template = self.machine
+            if template == mesh(template.n_cores):
+                config = mesh(n_cores)
+            elif n_cores == template.n_cores:
+                config = template
+            else:
+                config = replace(template, n_cores=n_cores, mesh_shape=mesh(n_cores).mesh_shape)
+            self._configs[n_cores] = config
+        return config
 
     def compiler(self, name: str) -> VoltronCompiler:
         if name not in self._compilers:
@@ -585,7 +620,7 @@ class ExperimentRunner:
                 max_cycles=self.max_cycles,
                 cache_dir=self._cache_dir,
                 faults=self.fault_config,
-                config_overrides=self.config_overrides,
+                machine=self.machine,
             )
             for name, name_cells in by_name.items()
         ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..arch.config import mesh, single_core
+from ..arch.config import mesh
 from ..compiler.driver import VoltronCompiler
 from ..isa.interp import run_program
 from ..sim.machine import VoltronMachine
@@ -192,7 +192,7 @@ def figure7_9_examples() -> Dict[str, float]:
         reference = run_program(program)
         compiler = VoltronCompiler(program)
         base_machine = VoltronMachine(
-            compiler.compile("baseline", single_core()), single_core()
+            compiler.compile("baseline", mesh(1)), mesh(1)
         )
         base = base_machine.run().cycles
         config = mesh(2)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..sim.recovery import REMAP_HOPS_PREFIX
 
@@ -55,16 +55,17 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_cache_line(runner) -> str:
-    """The harness's cache-traffic line: hits/misses, how many entries
-    were quarantined as unreadable, and the cache root -- or an explicit
-    marker when caching is off (``--no-cache``)."""
-    cache = getattr(runner, "cache", None)
-    if cache is None:
+def render_cache_line(tallies: Optional[Mapping[str, int]], root=None) -> str:
+    """The harness's cache-traffic line over a cache's tallies (a
+    ``ResultCache.tallies``, or a sweep document's ``cache`` sums):
+    hits/misses, how many entries were quarantined as unreadable, and
+    the cache root -- or an explicit marker when caching is off
+    (``tallies`` None, ``--no-cache``)."""
+    if tallies is None:
         return "cache     : disabled"
     return (
-        f"cache     : {cache.hits} hit(s), {cache.misses} miss(es), "
-        f"quarantined={cache.quarantined} in {cache.root}"
+        f"cache     : {tallies['hits']} hit(s), {tallies['misses']} miss(es), "
+        f"quarantined={tallies['quarantined']} in {root}"
     )
 
 
@@ -116,19 +117,16 @@ def render_failures(failures, attempts: Iterable[int] = ()) -> str:
     return "failures  : " + "; ".join(parts)
 
 
-def render_journal_line(runner) -> str:
-    """The resumability line (empty without a journal): the replay
-    bookkeeping -- how many cells were replayed straight from the
-    journal+cache, re-run after incomplete history, or abandoned -- and
-    where the journal lives, so the resume command is obvious."""
-    journal = getattr(runner, "journal", None)
-    stats = getattr(runner, "journal_stats", None)
-    if journal is None or stats is None:
-        return ""
+def render_journal_line(stats: Mapping[str, int], path) -> str:
+    """The resumability line over a journal's resume tallies (a runner's
+    ``journal_stats``, or a sweep document's ``journal`` sums): how many
+    cells were replayed straight from the journal+cache, re-run after
+    incomplete history, or abandoned -- and where the journal lives, so
+    the resume command is obvious."""
     return (
         f"journal   : {stats['replayed']} replayed / "
         f"{stats['rerun']} re-run / {stats['abandoned']} abandoned "
-        f"({journal.path})"
+        f"({path})"
     )
 
 

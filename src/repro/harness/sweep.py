@@ -235,7 +235,7 @@ def run_sweep(
             context={"driver": "sweep"},
         )
     points: List[SweepPoint] = []
-    cache_hits = cache_misses = quarantined = 0
+    cache = {"hits": 0, "misses": 0, "quarantined": 0}
     failures = FailureSummary()
     attempts: List[int] = []
     journal_stats = {"replayed": 0, "rerun": 0, "abandoned": 0}
@@ -270,9 +270,8 @@ def run_sweep(
                         )
                         points.append(point)
                 if runner.cache is not None:
-                    cache_hits += runner.cache.hits
-                    cache_misses += runner.cache.misses
-                    quarantined += runner.cache.quarantined
+                    for stat, value in runner.cache.tallies.items():
+                        cache[stat] += value
                 absorbed = runner.failure_summary()
                 for name, value in vars(absorbed).items():
                     setattr(failures, name, getattr(failures, name) + value)
@@ -304,11 +303,7 @@ def run_sweep(
         "varied_axes": spec.varied_axes(),
         "points": [point.to_dict() for point in points],
         "frontiers": frontiers,
-        "cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "quarantined": quarantined,
-        },
+        "cache": cache,
         "failures": {**dataclasses.asdict(failures), "attempts": attempts},
     }
     if run_journal is not None:

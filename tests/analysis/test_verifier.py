@@ -8,7 +8,7 @@ import repro
 from repro.analysis import merge_reports, verify_compiled
 from repro.analysis.findings import Finding, match_suppression
 from repro.api import compile_benchmark
-from repro.arch.config import mesh, single_core
+from repro.arch.config import mesh
 
 #: A slice of the suite covering every region flavour (ILP-heavy,
 #: queue-heavy TLP, DOALL-carrying LLP, and the hybrid mixes); the full
@@ -21,7 +21,7 @@ GRID = [(1, "baseline")] + [
 
 
 def _config(cores):
-    return single_core() if cores == 1 else mesh(cores)
+    return mesh(1) if cores == 1 else mesh(cores)
 
 
 @pytest.mark.parametrize("bench", SAMPLE)

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.arch.config import (
-    CacheConfig,
-    MachineConfig,
-    NetworkConfig,
-    four_core,
-    mesh,
-    single_core,
-    two_core,
-)
+from repro.arch.config import CacheConfig, MachineConfig, NetworkConfig, mesh
 
 
 class TestCacheConfig:
@@ -42,9 +34,9 @@ class TestNetworkConfig:
 
 class TestMachineConfig:
     def test_presets(self):
-        assert single_core().n_cores == 1
-        assert two_core().mesh_shape == (1, 2)
-        assert four_core().mesh_shape == (2, 2)
+        assert mesh(1).n_cores == 1
+        assert mesh(2).mesh_shape == (1, 2)
+        assert mesh(4).mesh_shape == (2, 2)
 
     def test_mesh_helper_presets_and_general(self):
         assert mesh(1).n_cores == 1
@@ -63,9 +55,9 @@ class TestMachineConfig:
 
     def test_coupled_group_limit_default_is_four(self):
         # "coupling more than 4 cores is rare", Section 3.2.
-        assert four_core().coupled_group_size == 4
+        assert mesh(4).coupled_group_size == 4
 
     def test_configs_are_frozen(self):
-        config = four_core()
+        config = mesh(4)
         with pytest.raises(Exception):
             config.n_cores = 8

@@ -1,29 +1,24 @@
 """The redesigned machine-spec API: mesh shapes for arbitrary core
-counts, the preset registry, resolve_machine, and override diffing."""
+counts, the preset registry, and resolve_machine."""
 
 import pytest
 
 from repro.arch.config import (
     MachineConfig,
     NetworkConfig,
-    apply_overrides,
-    four_core,
     list_presets,
-    machine_overrides,
     mesh,
     preset,
     resolve_machine,
-    single_core,
-    two_core,
 )
 from repro.arch.mesh import Mesh
 
 
 class TestMeshShapes:
     def test_small_counts_return_paper_presets(self):
-        assert mesh(1) == single_core()
-        assert mesh(2) == two_core()
-        assert mesh(4) == four_core()
+        assert mesh(1) == MachineConfig(n_cores=1, mesh_shape=(1, 1))
+        assert mesh(2) == MachineConfig(n_cores=2, mesh_shape=(1, 2))
+        assert mesh(4) == MachineConfig(n_cores=4, mesh_shape=(2, 2))
 
     @pytest.mark.parametrize(
         "n,shape",
@@ -94,7 +89,7 @@ class TestResolveMachine:
         assert resolve_machine("mesh16-directory") == preset("mesh16-directory")
 
     def test_config_passes_through(self):
-        config = four_core()
+        config = mesh(4)
         assert resolve_machine(config) is config
 
     def test_bool_is_not_a_core_count(self):
@@ -108,28 +103,6 @@ class TestResolveMachine:
     def test_other_types_raise(self):
         with pytest.raises(TypeError):
             resolve_machine(4.0)
-
-
-class TestMachineOverrides:
-    def test_default_mesh_has_no_overrides(self):
-        assert machine_overrides(mesh(16)) == {}
-
-    def test_directory_variant_diffs_coherence_only(self):
-        assert machine_overrides(preset("mesh16-directory")) == {
-            "coherence": "directory"
-        }
-
-    def test_round_trips_through_apply_overrides(self):
-        config = preset("mesh32-directory")
-        rebuilt = apply_overrides(mesh(32), machine_overrides(config))
-        assert rebuilt == config
-
-    def test_include_shape_false_drops_mesh_shape(self):
-        import dataclasses
-
-        odd = dataclasses.replace(mesh(16), mesh_shape=(2, 8))
-        assert "mesh_shape" in machine_overrides(odd)
-        assert "mesh_shape" not in machine_overrides(odd, include_shape=False)
 
 
 class TestConfigValidation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import four_core, mesh, two_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.isa import ProgramBuilder
 from repro.isa.operations import Opcode
@@ -211,7 +211,7 @@ class TestProgramPurity:
         ]
         compiler = VoltronCompiler(program)
         compiler.compile("hybrid", mesh(4))
-        compiler.compile("ilp", two_core())
+        compiler.compile("ilp", mesh(2))
         after = [
             (op.uid, op.core, op.slot)
             for op in program.main().all_ops()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import four_core, mesh
+from repro.arch import mesh
 from repro.compiler import Codegen, VoltronCompiler
 from repro.isa import ProgramBuilder
 from repro.isa.operations import Opcode
@@ -27,7 +27,7 @@ class TestGuards:
         from repro.sim import VoltronMachine
 
         compiler = VoltronCompiler(_program())
-        small = VoltronMachine(compiler.compile("hybrid", four_core()), four_core())
+        small = VoltronMachine(compiler.compile("hybrid", mesh(4)), mesh(4))
         small.run()
         config = mesh(8)
         large = VoltronMachine(compiler.compile("hybrid", config), config)
@@ -36,17 +36,16 @@ class TestGuards:
         assert large.final_memory() == small.final_memory()
 
     def test_mismatched_machine_rejected_at_simulation(self):
-        from repro.arch import two_core
         from repro.sim import VoltronMachine
 
-        compiled = VoltronCompiler(_program()).compile("ilp", two_core())
+        compiled = VoltronCompiler(_program()).compile("ilp", mesh(2))
         with pytest.raises(ValueError, match="compiled for 2"):
-            VoltronMachine(compiled, four_core())
+            VoltronMachine(compiled, mesh(4))
 
 
 class TestStructuralInvariants:
     def _compiled(self, strategy):
-        return VoltronCompiler(_program()).compile(strategy, four_core())
+        return VoltronCompiler(_program()).compile(strategy, mesh(4))
 
     def test_terminators_are_final_slots_in_coupled_blocks(self):
         compiled = self._compiled("ilp")
@@ -104,7 +103,7 @@ class TestStructuralInvariants:
         source_uids = {
             op_.uid for fn in program.functions.values() for op_ in fn.all_ops()
         }
-        compiled = VoltronCompiler(program).compile("ilp", four_core())
+        compiled = VoltronCompiler(program).compile("ilp", mesh(4))
         linked = 0
         for core in range(4):
             for function in compiled.streams[core].values():

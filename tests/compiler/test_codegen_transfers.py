@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import four_core, mesh, two_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.isa import ProgramBuilder
 from repro.isa.operations import Opcode, RegFile

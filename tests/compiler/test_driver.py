@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import four_core, mesh, single_core, two_core
+from repro.arch import mesh
 from repro.compiler.driver import VoltronCompiler, compile_program
 from repro.isa import ProgramBuilder
 
@@ -29,14 +29,14 @@ class TestVoltronCompiler:
     def test_compile_each_strategy(self):
         compiler = VoltronCompiler(_program())
         for strategy in ("ilp", "tlp", "llp", "hybrid"):
-            compiled = compiler.compile(strategy, four_core())
+            compiled = compiler.compile(strategy, mesh(4))
             assert compiled.attrs["strategy"] == strategy
             assert compiled.n_cores == 4
 
     def test_baseline_requires_single_core(self):
         compiler = VoltronCompiler(_program())
         with pytest.raises(ValueError):
-            compiler.compile("baseline", two_core())
+            compiler.compile("baseline", mesh(2))
         assert compiler.compile("baseline").n_cores == 1
 
     def test_unknown_strategy_rejected(self):

@@ -6,7 +6,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.arch import MachineConfig, mesh, single_core
+from repro.arch import MachineConfig, mesh
 from repro.compiler import VoltronCompiler, compile_program
 from repro.isa import ProgramBuilder, Program, run_program
 from repro.sim import VoltronMachine
@@ -67,7 +67,7 @@ def simulate(
     max_cycles: int = 3_000_000,
 ) -> VoltronMachine:
     compiled = compile_program(program, n_cores, strategy, profile_args=args)
-    config = single_core() if n_cores == 1 else mesh(n_cores)
+    config = mesh(1) if n_cores == 1 else mesh(n_cores)
     machine = VoltronMachine(compiled, config, max_cycles=max_cycles, args=args)
     machine.run()
     return machine

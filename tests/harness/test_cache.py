@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.arch import mesh, single_core
+from repro.arch import mesh
 from repro.harness import (
     ExperimentRunner,
     ProgramKey,
@@ -139,7 +139,7 @@ class TestKeys:
     def test_key_depends_on_program_content(self):
         a = build(BENCH, seed=1).program
         b = build(BENCH, seed=2).program
-        config = single_core()
+        config = mesh(1)
         if program_fingerprint(a) == program_fingerprint(b):
             # Seed-insensitive generator: same content must mean same key.
             assert cache_key(
@@ -177,7 +177,7 @@ class TestKeys:
         )
         assert reference_key(ProgramKey(program)) not in {
             cache_key(ProgramKey(program), mesh(2), 1, "ilp", 1000),
-            cache_key(ProgramKey(program), single_core(), 1, "baseline", 1000),
+            cache_key(ProgramKey(program), mesh(1), 1, "baseline", 1000),
         }
 
     def test_keys_stable_across_processes(self):
@@ -344,12 +344,12 @@ class TestRunnerCaching:
     def test_no_cache_dir_disables_layer(self):
         runner = ExperimentRunner(benchmarks=[BENCH], cache_dir=None)
         assert runner.cache is None
-        assert render_cache_line(runner) == "cache     : disabled"
+        assert render_cache_line(None) == "cache     : disabled"
 
     def test_cache_line_reports_traffic(self, tmp_path):
         runner = ExperimentRunner(benchmarks=[BENCH], cache_dir=tmp_path)
         runner.run(BENCH, 1, "baseline")
-        line = render_cache_line(runner)
+        line = render_cache_line(runner.cache.tallies, runner.cache.root)
         assert "miss(es)" in line and str(tmp_path) in line
 
 

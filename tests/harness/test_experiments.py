@@ -88,7 +88,9 @@ class TestBrokenPoolJournalled:
         assert resumed.journal_stats["rerun"] == 0
         for cell in CELLS:
             assert resumed._runs[cell].cycles == first._runs[cell].cycles
-        assert "2 replayed" in render_journal_line(resumed)
+        assert "2 replayed" in render_journal_line(
+            resumed.journal_stats, resumed.journal.path
+        )
 
 
 class TestDeadlineRetryExhaustion:

@@ -204,7 +204,7 @@ class TestFailureSummary:
         line = render_failure_line(runner)
         assert "quarantined cache" in line
         assert f"quarantined={runner.cache.quarantined}" in render_cache_line(
-            runner
+            runner.cache.tallies, runner.cache.root
         )
 
     def test_render_without_failures_attribute(self):

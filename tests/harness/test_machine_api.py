@@ -2,13 +2,14 @@
 session/run_cell/sweep, and the CLI --machine flag."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro import api
 from repro.arch.config import mesh, preset
-from repro.harness import cli
+from repro.harness import cli, experiments
 
 
 class TestMachineKwarg:
@@ -65,14 +66,59 @@ class TestMachineKwarg:
 class TestSessionMachine:
     def test_session_applies_machine_knobs_across_core_counts(self):
         runner = api.session(["rawcaudio"], machine="mesh16-directory")
-        # include_shape=False: the knobs follow every core count the
-        # session is asked for, not just 16.
+        # The knobs follow every core count the session is asked for,
+        # not just 16.
         assert runner.machine_config(16).coherence == "directory"
         assert runner.machine_config(4).coherence == "directory"
 
     def test_session_default_machine_is_untouched(self):
         runner = api.session(["rawcaudio"])
         assert runner.machine_config(4) == mesh(4)
+
+    def test_session_is_the_runner(self):
+        assert api.session is experiments.ExperimentRunner
+
+
+class TestCustomMeshShape:
+    """A machine's own mesh shape is simulated at its own core count;
+    every other count the session touches runs on ``mesh(n)``'s shape."""
+
+    ODD = replace(mesh(16), mesh_shape=(2, 8))
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """Core count -> mesh shape of every machine the runner builds."""
+        seen = {}
+        machine = experiments.VoltronMachine
+
+        def recording(compiled, config, **kwargs):
+            seen[config.n_cores] = config.mesh_shape
+            return machine(compiled, config, **kwargs)
+
+        monkeypatch.setattr(experiments, "VoltronMachine", recording)
+        return seen
+
+    def test_session_simulates_the_shape_at_its_own_count(self, shapes):
+        runner = api.session(["rawcaudio"], machine=self.ODD)
+        runner.run("rawcaudio", 16, "ilp")
+        runner.run("rawcaudio", 4, "ilp")
+        runner.baseline("rawcaudio")
+        assert shapes == {16: (2, 8), 4: (2, 2), 1: (1, 1)}
+        assert runner.machine_config(4) == mesh(4)
+
+    def test_run_figure_simulates_the_shape_at_its_own_count(self, shapes):
+        api.run_figure("13", benchmarks=["rawcaudio"], machine=self.ODD)
+        assert shapes == {16: (2, 8), 1: (1, 1)}
+
+    def test_run_figure_rejects_the_shape_for_a_shared_runner(self):
+        with pytest.raises(ValueError, match="session"):
+            api.run_figure(
+                "13", machine=self.ODD, runner=api.session(["rawcaudio"])
+            )
+
+    def test_run_cell_keeps_the_shape(self, shapes):
+        assert api.run_cell("rawcaudio", self.ODD, "ilp").correct
+        assert shapes == {16: (2, 8)}
 
 
 class TestSweepMachines:

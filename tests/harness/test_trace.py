@@ -1,6 +1,6 @@
 """Tests for the execution tracer."""
 
-from repro.arch import two_core
+from repro.arch import mesh
 from repro.compiler import compile_program
 from repro.harness.trace import Tracer
 from repro.isa import ProgramBuilder
@@ -20,7 +20,7 @@ def _traced(**kwargs):
     fb.halt()
     compiled = compile_program(pb.finish(), 2, "ilp")
     tracer = Tracer(**kwargs)
-    VoltronMachine(compiled, two_core(), obs=tracer).run()
+    VoltronMachine(compiled, mesh(2), obs=tracer).run()
     return tracer
 
 

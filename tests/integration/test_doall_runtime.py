@@ -3,7 +3,7 @@ coverage, live-outs, and the spawn/join protocol."""
 
 import pytest
 
-from repro.arch import four_core, two_core
+from repro.arch import mesh
 from repro.compiler import compile_program
 from repro.isa import ProgramBuilder, run_program
 from repro.isa.operations import Opcode
@@ -35,7 +35,7 @@ class TestDynamicBounds:
         }
         assert "doall" in strategies  # the dynamic bound was accepted
         reference = run_program(program)
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         stats = machine.run()
         assert machine.array_values("o") == reference.array_values(program, "o")
         assert stats.tx_commits == 4
@@ -43,7 +43,7 @@ class TestDynamicBounds:
     def test_dynamic_bound_untouched_tail(self):
         program = _dynamic_bound_program()
         compiled = compile_program(program, 4, "llp")
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         machine.run()
         # Iterations beyond the dynamic bound (37) must not be touched.
         assert machine.array_values("o")[37:] == [0] * (64 - 37)
@@ -63,7 +63,7 @@ class TestDynamicBounds:
         # Profile with a bound big enough to clear the trip threshold.
         compiled = compile_program(program, 4, "llp", profile_args=(32,))
         reference = run_program(program, (bound,))
-        machine = VoltronMachine(compiled, four_core(), args=(bound,))
+        machine = VoltronMachine(compiled, mesh(4), args=(bound,))
         machine.run()
         assert machine.array_values("o") == reference.array_values(
             program, "o"
@@ -96,7 +96,7 @@ class TestLiveOuts:
             for strategy in ("llp", "hybrid"):
                 compiled = compile_program(program, n_cores, strategy)
                 machine = VoltronMachine(
-                    compiled, four_core() if n_cores == 4 else two_core()
+                    compiled, mesh(4) if n_cores == 4 else mesh(2)
                 )
                 machine.run()
                 assert machine.array_values("o") == want, (n_cores, strategy)
@@ -119,7 +119,7 @@ class TestLiveOuts:
         program = pb.finish()
         reference = run_program(program)
         compiled = compile_program(program, 4, "tlp")
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         machine.run()
         assert machine.array_values("final") == reference.array_values(
             program, "final"
@@ -130,7 +130,7 @@ class TestSpawnJoinProtocol:
     def test_workers_listen_then_sleep_then_release(self):
         program = _dynamic_bound_program()
         compiled = compile_program(program, 4, "llp")
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         stats = machine.run()
         # Workers idled while listening, and every spawn found a listener.
         assert stats.spawns == 3

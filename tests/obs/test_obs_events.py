@@ -13,7 +13,7 @@ import pytest
 
 from conftest import build_square_sum
 
-from repro.arch import mesh, single_core, two_core
+from repro.arch import mesh
 from repro.compiler import compile_program
 from repro.isa import ProgramBuilder
 from repro.obs import ObsConfig, Observability, reconcile, summarize
@@ -25,7 +25,7 @@ from repro.sim.stats import STALL_CATEGORIES
 def _machine(strategy="ilp", n_cores=2, **kwargs):
     program, _ = build_square_sum(64)
     compiled = compile_program(program, n_cores, strategy)
-    config = single_core() if n_cores == 1 else mesh(n_cores)
+    config = mesh(1) if n_cores == 1 else mesh(n_cores)
     return VoltronMachine(compiled, config, **kwargs)
 
 
@@ -39,7 +39,7 @@ def _kernel_machine(kernel, strategy, n_cores=2, obs=None, **kernel_kwargs):
     kernel(ctx, **kernel_kwargs)
     fb.halt()
     compiled = compile_program(pb.finish(), n_cores, strategy)
-    config = two_core() if n_cores == 2 else mesh(n_cores)
+    config = mesh(2) if n_cores == 2 else mesh(n_cores)
     return VoltronMachine(compiled, config, obs=obs)
 
 

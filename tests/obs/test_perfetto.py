@@ -16,7 +16,7 @@ from pathlib import Path
 
 from conftest import build_square_sum
 
-from repro.arch import mesh, single_core, two_core
+from repro.arch import mesh
 from repro.compiler import compile_program
 from repro.isa import ProgramBuilder
 from repro.obs import ObsConfig, Observability, perfetto_trace, write_trace
@@ -29,7 +29,7 @@ def _observed(strategy="hybrid", n_cores=4, stride=64):
     program, _ = build_square_sum(64)
     obs = Observability(ObsConfig(sample_stride=stride))
     compiled = compile_program(program, n_cores, strategy)
-    config = single_core() if n_cores == 1 else mesh(n_cores)
+    config = mesh(1) if n_cores == 1 else mesh(n_cores)
     VoltronMachine(compiled, config, obs=obs).run()
     return obs
 
@@ -46,7 +46,7 @@ def _observed_doall():
     fb.halt()
     obs = Observability()
     compiled = compile_program(pb.finish(), 2, "llp")
-    VoltronMachine(compiled, two_core(), obs=obs).run()
+    VoltronMachine(compiled, mesh(2), obs=obs).run()
     return obs
 
 

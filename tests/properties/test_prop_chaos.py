@@ -41,7 +41,7 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1"))
 
 #: Same cell grid the fast-path differential suite locks down, spelled
 #: as machine specs (the presets resolve to the exact configs the old
-#: hardcoded single_core()/mesh() cells built).
+#: hardcoded mesh(1)/mesh() cells built).
 CELLS = [("single", "baseline")] + [
     (machine, s) for machine in ("two", "four") for s in ("ilp", "tlp", "llp")
 ]

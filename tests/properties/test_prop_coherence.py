@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.analysis import RaceSanitizer, verify_compiled
-from repro.arch.config import mesh, single_core
+from repro.arch.config import mesh
 from repro.compiler.driver import VoltronCompiler
 from repro.sim.caches import DirectoryCoherence
 from repro.sim.machine import VoltronMachine
@@ -102,7 +102,7 @@ def test_sixteen_cores_beat_the_paper_grid():
     bench = build("epic")
     compiler = VoltronCompiler(bench.program)
     baseline = VoltronMachine(
-        compiler.compile("baseline", single_core()), single_core()
+        compiler.compile("baseline", mesh(1)), mesh(1)
     )
     serial = baseline.run().cycles
 

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.config import CacheConfig, NetworkConfig, four_core
+from repro.arch.config import CacheConfig, NetworkConfig, mesh
 from repro.arch.mesh import Mesh
 from repro.sim.caches import EXCLUSIVE, MODIFIED, SetAssocCache, SnoopBus
 from repro.sim.faults import FaultConfig, FaultPlan, _Channel
@@ -54,7 +54,7 @@ class TestCacheProperties:
     def test_moesi_single_writer_invariant(self, accesses):
         """After any access sequence, at most one cache holds a line in a
         writable (M/E) state, and M/E excludes any other copies."""
-        bus = SnoopBus(four_core())
+        bus = SnoopBus(mesh(4))
         lines = set()
         for core, addr, is_store in accesses:
             bus.access(core, addr, is_store)

@@ -11,7 +11,7 @@ dependence patterns.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.arch import mesh, single_core
+from repro.arch import mesh
 from repro.compiler import compile_program
 from repro.isa import ProgramBuilder, run_program
 from repro.sim import VoltronMachine

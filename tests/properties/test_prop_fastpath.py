@@ -34,7 +34,7 @@ import os
 
 import pytest
 
-from repro.arch import mesh, single_core
+from repro.arch import mesh
 from repro.arch.config import resolve_machine
 from repro.compiler import VoltronCompiler
 from repro.sim import FaultConfig, FaultPlan, VoltronMachine
@@ -57,7 +57,7 @@ def test_fast_forward_is_bit_identical(name):
     bench = build(name)
     compiler = VoltronCompiler(bench.program)  # one profile for all cells
     for n_cores, strategy in CELLS:
-        config = single_core() if n_cores == 1 else mesh(n_cores)
+        config = mesh(1) if n_cores == 1 else mesh(n_cores)
         compiled = compiler.compile(strategy, config)
         fast_machine = VoltronMachine(compiled, config, fast_forward=True)
         fast = fast_machine.run().to_dict()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.config import CacheConfig, MachineConfig, four_core, two_core
+from repro.arch.config import CacheConfig, MachineConfig, mesh
 from repro.sim.caches import (
     EXCLUSIVE,
     INVALID,
@@ -62,7 +62,7 @@ class TestSetAssocCache:
 
 class TestSnoopBusMOESI:
     def setup_method(self):
-        self.bus = SnoopBus(four_core())
+        self.bus = SnoopBus(mesh(4))
 
     def test_first_load_fills_exclusive(self):
         cycles, miss = self.bus.access(0, 0, is_store=False)
@@ -132,7 +132,7 @@ class TestSnoopBusMOESI:
             assert sum(holders) <= 1
 
     def test_miss_latency_tiers(self):
-        config = four_core()
+        config = mesh(4)
         bus = SnoopBus(config)
         # Cold miss goes to memory.
         cycles, _ = bus.access(0, 0, is_store=False)
@@ -142,7 +142,7 @@ class TestSnoopBusMOESI:
         assert cycles == config.l1d.hit_latency + config.l2.hit_latency
 
     def test_l2_hit_after_eviction_writeback(self):
-        config = two_core()
+        config = mesh(2)
         bus = SnoopBus(config)
         bus.access(0, 0, is_store=True)
         # Fill enough lines mapping to set 0 to evict line 0 (2-way).
@@ -157,7 +157,7 @@ class TestSnoopBusMOESI:
 
 class TestL1ICache:
     def test_miss_then_hit(self):
-        config = four_core()
+        config = mesh(4)
         icache = L1ICache(config.l1i)
         misses = []
         icache.on_icache_miss = misses.append
@@ -169,7 +169,7 @@ class TestL1ICache:
         assert misses == [config.memory_latency]
 
     def test_refill_from_l2(self):
-        config = four_core()
+        config = mesh(4)
         icache_a = L1ICache(config.l1i)
         icache_b = L1ICache(config.l1i)
         l2 = SharedL2(config.l2, config.l2_banks)
@@ -180,14 +180,14 @@ class TestL1ICache:
 
 class TestSharedL2:
     def test_bank_accounting(self):
-        config = four_core()
+        config = mesh(4)
         l2 = SharedL2(config.l2, 4)
         for line in range(8):
             l2.access(line)
         assert l2.bank_accesses == [2, 2, 2, 2]
 
     def test_hit_miss_counters(self):
-        config = four_core()
+        config = mesh(4)
         l2 = SharedL2(config.l2, 4)
         assert not l2.access(0)
         assert l2.access(0)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.arch.config import MachineConfig, four_core, mesh
+from repro.arch.config import MachineConfig, mesh
 from repro.sim.caches import (
     EXCLUSIVE,
     INVALID,
@@ -28,7 +28,7 @@ def directory_config(n_cores=4):
 
 class TestFactory:
     def test_snoop_config_builds_snoop_bus(self):
-        bus = make_coherence(four_core())
+        bus = make_coherence(mesh(4))
         assert type(bus) is SnoopBus
 
     def test_directory_config_builds_directory(self):
@@ -80,7 +80,7 @@ class TestDirectoryMOESI:
 
     def test_miss_pays_directory_lookup(self):
         config = self.bus.config
-        snoop = SnoopBus(four_core())
+        snoop = SnoopBus(mesh(4))
         snoop_cycles, _ = snoop.access(0, 0, is_store=False)
         cycles, _ = self.bus.access(0, 0, is_store=False)
         assert cycles == snoop_cycles + config.directory_latency

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import mesh, single_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.sim import FaultConfig, FaultPlan, VoltronMachine
 from repro.workloads.suite import build
@@ -193,7 +193,7 @@ class TestProfiles:
 class TestMachineIntegration:
     def _compiled(self, name, n_cores, strategy):
         bench = build(name)
-        config = single_core() if n_cores == 1 else mesh(n_cores)
+        config = mesh(1) if n_cores == 1 else mesh(n_cores)
         return VoltronCompiler(bench.program).compile(strategy, config), config
 
     def test_faults_keep_fast_forward(self):

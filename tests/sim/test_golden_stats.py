@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.arch import mesh, single_core
+from repro.arch import mesh
 from repro.arch.config import resolve_machine
 from repro.compiler import VoltronCompiler, compile_program
 from repro.sim import FaultConfig, VoltronMachine
@@ -37,7 +37,7 @@ CASES = [
 
 def _stats_payload(name: str, n_cores: int, strategy: str) -> dict:
     bench = build(name)
-    config = single_core() if n_cores == 1 else mesh(n_cores)
+    config = mesh(1) if n_cores == 1 else mesh(n_cores)
     compiled = compile_program(bench.program, n_cores, strategy)
     return VoltronMachine(compiled, config).run().to_dict()
 

@@ -3,7 +3,7 @@ through the machine (Section 3.1's numbers, not just the config table)."""
 
 import pytest
 
-from repro.arch import four_core, two_core
+from repro.arch import mesh
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import Function, Program
@@ -63,7 +63,7 @@ class TestDirectModeLatency:
                 op(Opcode.HALT, align=12),
             ], None, None)],
         })
-        machine = run(compiled, two_core())
+        machine = run(compiled, mesh(2))
         assert machine.cores[1].register(R(2))[0] == 6
         # No scoreboard stall on the consumer: latency category is zero.
         assert machine.stats.cores[1].stalls["latency"] == 0
@@ -101,7 +101,7 @@ class TestDirectModeLatency:
                 op(Opcode.HALT, align=23),
             ], None, None)],
         }
-        machine = run(assemble(4, blocks), four_core())
+        machine = run(assemble(4, blocks), mesh(4))
         assert machine.cores[3].register(R(3))[0] == 9
 
 
@@ -131,7 +131,7 @@ class TestQueueModeLatency:
             ],
         }
         modes = {"work": "decoupled", "join": "decoupled"}
-        machine = run(assemble(2, blocks, modes=modes), two_core())
+        machine = run(assemble(2, blocks, modes=modes), mesh(2))
         return machine
 
     def test_eager_receiver_stalls_for_queue_latency(self):
@@ -180,7 +180,6 @@ class TestComputeLatencies:
                 op(Opcode.HALT),
             ], None, None)],
         })
-        from repro.arch import single_core
 
-        machine = run(compiled, single_core())
+        machine = run(compiled, mesh(1))
         assert machine.stats.cores[0].stalls["latency"] == latency - 1

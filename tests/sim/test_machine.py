@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from repro.arch import four_core, single_core, two_core
+from repro.arch import mesh
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import Function, Program
@@ -69,7 +69,7 @@ class TestUninitializedRegister:
         })
         with pytest.raises(UninitializedRegister,
                            match="core 1 read uninitialized register r7"):
-            run(compiled, two_core(), fast_forward=fast_forward)
+            run(compiled, mesh(2), fast_forward=fast_forward)
 
 
 class TestSingleCore:
@@ -82,7 +82,7 @@ class TestSingleCore:
                 op(Opcode.HALT),
             ], None, None)],
         })
-        machine = run(compiled, single_core())
+        machine = run(compiled, mesh(1))
         assert machine.memory.load(64) == 50
 
     def test_nop_padding_costs_cycles(self):
@@ -90,8 +90,8 @@ class TestSingleCore:
         # exactly three issue cycles.
         body = [op(Opcode.HALT)]
         padded = [None] * 3 + [op(Opcode.HALT)]
-        fast = run(assemble(1, {0: [("entry", body, None, None)]}), single_core())
-        slow = run(assemble(1, {0: [("entry", padded, None, None)]}), single_core())
+        fast = run(assemble(1, {0: [("entry", body, None, None)]}), mesh(1))
+        slow = run(assemble(1, {0: [("entry", padded, None, None)]}), mesh(1))
         assert slow.stats.cycles == fast.stats.cycles + 3
 
     def test_branch_taken_and_fallthrough(self):
@@ -111,7 +111,7 @@ class TestSingleCore:
                 op(Opcode.HALT),
             ], None, None),
         ]
-        machine = run(assemble(1, {0: blocks}), single_core())
+        machine = run(assemble(1, {0: blocks}), mesh(1))
         assert machine.memory.load(8) == 222
 
     def test_scoreboard_interlock_counts_latency_stall(self):
@@ -123,7 +123,7 @@ class TestSingleCore:
                 op(Opcode.HALT),
             ], None, None)],
         })
-        machine = run(compiled, single_core())
+        machine = run(compiled, mesh(1))
         assert machine.stats.cores[0].stalls["latency"] >= 2
         assert machine.cores[0].register(R(1))[0] == 13
 
@@ -134,7 +134,7 @@ class TestSingleCore:
                 op(Opcode.HALT),
             ], None, None)],
         })
-        machine = run(compiled, single_core())
+        machine = run(compiled, mesh(1))
         assert machine.stats.cores[0].stalls["dstall"] > 50  # memory latency
         assert machine.stats.cores[0].l1d_misses == 1
 
@@ -144,7 +144,7 @@ class TestSingleCore:
             ("mid", [], None, "end"),
             ("end", [op(Opcode.HALT)], None, None),
         ]
-        machine = run(assemble(1, {0: blocks}), single_core())
+        machine = run(assemble(1, {0: blocks}), mesh(1))
         assert machine.stats.cycles >= 1
 
     def test_run_off_block_without_fall_raises(self):
@@ -152,7 +152,7 @@ class TestSingleCore:
             0: [("entry", [op(Opcode.NOP)], None, None)],
         })
         with pytest.raises(SimulatorError):
-            run(compiled, single_core())
+            run(compiled, mesh(1))
 
 
 class TestCoupledLockstep:
@@ -169,7 +169,7 @@ class TestCoupledLockstep:
                 op(Opcode.HALT, align=903),
             ], None, None)],
         })
-        machine = run(compiled, two_core())
+        machine = run(compiled, mesh(2))
         assert machine.cores[1].register(R(1))[0] == 42
 
     def test_misaligned_get_raises(self):
@@ -184,7 +184,7 @@ class TestCoupledLockstep:
             ], None, None)],
         })
         with pytest.raises(Exception):
-            run(compiled, two_core())
+            run(compiled, mesh(2))
 
     def test_stall_bus_propagates_miss(self):
         # Core 0 misses; lock-step forces core 1 to stall identically.
@@ -200,7 +200,7 @@ class TestCoupledLockstep:
                 op(Opcode.HALT, align=920),
             ], None, None)],
         })
-        machine = run(compiled, two_core())
+        machine = run(compiled, mesh(2))
         c0, c1 = machine.stats.cores
         assert c0.stalls["dstall"] > 50
         assert c1.stalls["dstall"] == c0.stalls["dstall"]
@@ -222,7 +222,7 @@ class TestCoupledLockstep:
             ], "y", None), tail("x"), tail("y")],
         })
         with pytest.raises(SimulatorError):
-            run(compiled, two_core())
+            run(compiled, mesh(2))
 
 
 class TestBroadcast:
@@ -240,7 +240,7 @@ class TestBroadcast:
                    align=930),
                 op(Opcode.HALT, align=931),
             ], None, None)]
-        machine = run(assemble(4, blocks), four_core())
+        machine = run(assemble(4, blocks), mesh(4))
         for core in (1, 2, 3):
             assert machine.cores[core].register(P(0))[0] is True
 
@@ -285,18 +285,18 @@ class TestModeSwitchAndThreads:
         return assemble(2, blocks, modes=modes)
 
     def test_spawn_sleep_release_roundtrip(self):
-        machine = run(self._dual_mode_program(), two_core())
+        machine = run(self._dual_mode_program(), mesh(2))
         assert machine.memory.load(16) == 42
         assert machine.stats.spawns == 1
         assert machine.stats.mode_switches >= 2
 
     def test_mode_cycles_accounted(self):
-        machine = run(self._dual_mode_program(), two_core())
+        machine = run(self._dual_mode_program(), mesh(2))
         assert machine.stats.mode_cycles["decoupled"] > 0
         assert machine.stats.mode_cycles["coupled"] > 0
 
     def test_idle_listening_is_counted(self):
-        machine = run(self._dual_mode_program(), two_core())
+        machine = run(self._dual_mode_program(), mesh(2))
         assert machine.stats.cores[1].stalls["idle"] > 0
 
     def test_sleep_resets_fetch_marker(self):
@@ -304,7 +304,7 @@ class TestModeSwitchAndThreads:
         redirect (``Core.jump``), must clear the fetch marker: the next
         wake-up re-fetches that slot even when it was the last one
         fetched."""
-        machine = VoltronMachine(self._dual_mode_program(), two_core())
+        machine = VoltronMachine(self._dual_mode_program(), mesh(2))
         core = machine.cores[1]
         core.jump("park")
         park = core.frame.block
@@ -329,7 +329,7 @@ class TestModeSwitchAndThreads:
         }
         compiled = assemble(2, blocks, modes={"park": "decoupled"})
         with pytest.raises(Deadlock):
-            run(compiled, two_core())
+            run(compiled, mesh(2))
 
 
 class TestTermination:
@@ -343,7 +343,7 @@ class TestTermination:
 
     def test_runaway_program_raises_out_of_cycles(self):
         with pytest.raises(OutOfCycles):
-            run(self._nop_spin(), single_core(), max_cycles=200)
+            run(self._nop_spin(), mesh(1), max_cycles=200)
 
     def test_out_of_cycles_fires_at_same_cycle_with_fast_forward(self):
         # The spin issues every cycle, so fast-forwarding never engages
@@ -352,7 +352,7 @@ class TestTermination:
         for fast_forward in (True, False):
             machine = VoltronMachine(
                 self._nop_spin(),
-                single_core(),
+                mesh(1),
                 max_cycles=200,
                 fast_forward=fast_forward,
             )
@@ -384,7 +384,7 @@ class TestTermination:
         # Under fast-forward the classifier proves there is no finite
         # release cycle and raises Deadlock at the stall window itself
         # rather than spinning the clock to max_cycles.
-        machine = VoltronMachine(self._cross_recv(), two_core(), fast_forward=True)
+        machine = VoltronMachine(self._cross_recv(), mesh(2), fast_forward=True)
         with pytest.raises(Deadlock):
             machine.run()
         # A couple hundred cycles to clear the mode switch, nowhere near
@@ -395,13 +395,13 @@ class TestTermination:
         # Single-stepping has no deadlock oracle for blocked RECVs: the
         # same program burns the cycle budget instead.
         machine = VoltronMachine(
-            self._cross_recv(), two_core(), max_cycles=300, fast_forward=False
+            self._cross_recv(), mesh(2), max_cycles=300, fast_forward=False
         )
         with pytest.raises(OutOfCycles):
             machine.run()
 
     def test_out_of_cycles_carries_per_core_diagnostics(self):
-        machine = VoltronMachine(self._nop_spin(), single_core(), max_cycles=200)
+        machine = VoltronMachine(self._nop_spin(), mesh(1), max_cycles=200)
         with pytest.raises(OutOfCycles) as excinfo:
             machine.run()
         message = str(excinfo.value)
@@ -412,7 +412,7 @@ class TestTermination:
         assert "pending msg(s)" in message
 
     def test_deadlock_carries_per_core_diagnostics(self):
-        machine = VoltronMachine(self._cross_recv(), two_core(), fast_forward=True)
+        machine = VoltronMachine(self._cross_recv(), mesh(2), fast_forward=True)
         with pytest.raises(Deadlock) as excinfo:
             machine.run()
         message = str(excinfo.value)
@@ -426,7 +426,7 @@ class TestTermination:
         # Every live core's program counter appears in function:label:slot
         # form, so a hung chaos run is debuggable from the message alone.
         machine = VoltronMachine(
-            self._cross_recv(), two_core(), max_cycles=300, fast_forward=False
+            self._cross_recv(), mesh(2), max_cycles=300, fast_forward=False
         )
         with pytest.raises(OutOfCycles) as excinfo:
             machine.run()
@@ -437,7 +437,7 @@ class TestTermination:
     def test_diagnostics_render_blocked_stall_cause(self):
         # A core held by the pipeline (next_free in the future) reports
         # the stall cause and the release cycle.
-        machine = VoltronMachine(self._nop_spin(), single_core(), max_cycles=20)
+        machine = VoltronMachine(self._nop_spin(), mesh(1), max_cycles=20)
         with pytest.raises(OutOfCycles):
             machine.run()
         core = machine.cores[0]
@@ -485,7 +485,7 @@ class TestDecoupledSleep:
         return assemble(4, blocks, modes={"body": "decoupled"})
 
     def test_send_waiting_on_its_source_stays_awake(self):
-        config = four_core()
+        config = mesh(4)
         config = dataclasses.replace(config, network=dataclasses.replace(
             config.network, queue_policy="vlink", queue_depth=2))
         fast, slow = (
@@ -534,7 +534,7 @@ class TestProgramArgs:
                 op(Opcode.HALT, align=960),
             ]))
             compiled.add_function(core, cf)
-        machine = VoltronMachine(compiled, two_core(), args=(77,))
+        machine = VoltronMachine(compiled, mesh(2), args=(77,))
         machine.run()
         assert machine.memory.load(0) == 77
         assert machine.memory.load(1) == 77
@@ -542,7 +542,7 @@ class TestProgramArgs:
     def test_wrong_arity_rejected(self):
         compiled = assemble(1, {0: [("entry", [op(Opcode.HALT)], None, None)]})
         with pytest.raises(ValueError):
-            VoltronMachine(compiled, single_core(), args=(1,))
+            VoltronMachine(compiled, mesh(1), args=(1,))
 
 
 class TestCoupledStepping:
@@ -574,7 +574,7 @@ class TestCoupledStepping:
         return compiled
 
     def test_call_return_fetches_the_resume_slot(self):
-        machine = VoltronMachine(self._with_callee(2), two_core())
+        machine = VoltronMachine(self._with_callee(2), mesh(2))
         fetched = {core.id: [] for core in machine.cores}
         for core, icache in zip(machine.cores, machine.icaches):
             def access(addr, l2, latency, _access=icache.access,
@@ -614,7 +614,7 @@ class TestCoupledStepping:
         for core in (2, 3):
             blocks[core] = [("entry", [op(Opcode.HALT)] + [None] * 5,
                              None, None)]
-        machine = run(assemble(4, blocks), four_core(),
+        machine = run(assemble(4, blocks), mesh(4),
                       fast_forward=fast_forward)
         assert machine.memory.load(8) == 42 * 42
         assert machine.cores[0].register(R(4))[0] == 1
@@ -640,4 +640,4 @@ class TestCoupledStepping:
         }, modes={"entry": "decoupled"})
         with pytest.raises(SimulatorError,
                            match="coupled mode reached main:entry, a decoupled block"):
-            run(compiled, two_core())
+            run(compiled, mesh(2))

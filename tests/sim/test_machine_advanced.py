@@ -3,7 +3,7 @@ credit stalls, and mode restoration around calls."""
 
 import pytest
 
-from repro.arch import four_core, mesh, single_core, two_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler, compile_program
 from repro.isa import ProgramBuilder, run_program
 from repro.isa.operations import Opcode
@@ -25,7 +25,7 @@ class TestTransactionsThroughTheMachine:
     def test_commit_counts_match_chunks(self):
         program, out = _doall_program()
         compiled = compile_program(program, 4, "llp")
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         stats = machine.run()
         assert stats.tx_commits == 4
         assert stats.tx_aborts == 0
@@ -34,7 +34,7 @@ class TestTransactionsThroughTheMachine:
     def test_tx_wait_stalls_enforce_ordered_commit(self):
         program, out = _doall_program()
         compiled = compile_program(program, 4, "llp")
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         stats = machine.run()
         # Later chunks usually wait for earlier ones at commit.
         total_tx_wait = sum(c.stalls["tx_wait"] for c in stats.cores)
@@ -58,7 +58,7 @@ class TestTransactionsThroughTheMachine:
         fb.halt()
         program = pb.finish()
         compiled = compile_program(program, 4, "llp", profile_args=(0,))
-        machine = VoltronMachine(compiled, four_core(), args=(1,))
+        machine = VoltronMachine(compiled, mesh(4), args=(1,))
         stats = machine.run()
         assert stats.tx_aborts > 0
         reference = run_program(program, (1,))
@@ -93,7 +93,7 @@ class TestObservers:
         program, out = _doall_program(trips=16)
         compiled = compile_program(program, 2, "ilp")
         log = _IssueLog()
-        stats = VoltronMachine(compiled, two_core(), obs=log).run()
+        stats = VoltronMachine(compiled, mesh(2), obs=log).run()
         assert len(log.seen) == stats.total_ops()
         assert any(opcode is Opcode.PUT for _c, _k, opcode in log.seen)
         cycles = [c for c, _k, _o in log.seen]
@@ -108,7 +108,7 @@ class TestObservers:
         for fast_forward in (True, False):
             log = _IssueLog()
             stats = VoltronMachine(
-                compiled, four_core(), fast_forward=fast_forward, obs=log
+                compiled, mesh(4), fast_forward=fast_forward, obs=log
             ).run()
             assert sum(c.stalls["recv_data"] for c in stats.cores) > 0
             assert len(log.seen) == stats.total_ops()
@@ -118,7 +118,7 @@ class TestObservers:
     def test_no_observer_overhead_path(self):
         program, out = _doall_program(trips=16)
         compiled = compile_program(program, 2, "ilp")
-        machine = VoltronMachine(compiled, two_core())
+        machine = VoltronMachine(compiled, mesh(2))
         stats = machine.run()
         assert stats.cycles > 0  # plain run without observers works
 
@@ -184,7 +184,7 @@ class TestModeRestoreAroundCalls:
         program = pb.finish()
         reference = run_program(program)
         compiled = compile_program(program, 4, "tlp")
-        machine = VoltronMachine(compiled, four_core())
+        machine = VoltronMachine(compiled, mesh(4))
         stats = machine.run()
         assert machine.array_values("o") == reference.array_values(program, "o")
         # Both modes really ran, and call sync stalls were paid.

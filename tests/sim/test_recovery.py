@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from repro.arch import mesh, single_core
+from repro.arch import mesh
 from repro.compiler import VoltronCompiler
 from repro.sim import (
     FaultConfig,
@@ -34,7 +34,7 @@ from repro.workloads.suite import build
 
 def _machine(name, n_cores, strategy, **fault_kwargs):
     bench = build(name)
-    config = single_core() if n_cores == 1 else mesh(n_cores)
+    config = mesh(1) if n_cores == 1 else mesh(n_cores)
     compiled = VoltronCompiler(bench.program).compile(strategy, config)
     golden = VoltronMachine(compiled, config)
     faults = None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import single_core
+from repro.arch import mesh
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Imm, Opcode, Reg, RegFile, make_op
 from repro.isa.program import Function, Program
@@ -98,7 +98,7 @@ def _one_core_machine(slots):
     cf = CoreFunction("main", "entry")
     cf.add_block(CoreBlock("entry", slots=slots))
     compiled.add_function(0, cf)
-    return VoltronMachine(compiled, single_core(), fast_forward=False)
+    return VoltronMachine(compiled, mesh(1), fast_forward=False)
 
 
 class TestCoreState:

@@ -10,7 +10,7 @@ lockstep ensemble with a cluster-network stall penalty.
 
 import dataclasses
 
-from repro.arch.config import NetworkConfig, four_core, mesh
+from repro.arch.config import NetworkConfig, mesh
 from repro.arch.mesh import Mesh
 from repro.compiler.driver import VoltronCompiler
 from repro.sim.machine import VoltronMachine
@@ -196,7 +196,7 @@ class TestVlinkRetransmission:
 class TestClusteredCoupledMode:
     def test_small_machines_have_no_cluster_penalty(self):
         bench = build("rawcaudio")
-        config = four_core()
+        config = mesh(4)
         compiled = VoltronCompiler(bench.program).compile("ilp", config)
         machine = VoltronMachine(compiled, config)
         assert machine._cluster_penalty == 0

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from repro.arch import single_core
+from repro.arch import mesh
 from repro.isa.machinecode import CompiledProgram, CoreBlock, CoreFunction
 from repro.isa.operations import Opcode, make_op
 from repro.sim import VoltronMachine
@@ -25,7 +25,7 @@ def image_digest(program) -> str:
         function = CoreFunction(name, "entry")
         function.add_block(CoreBlock("entry", slots=[make_op(Opcode.HALT, [], [])]))
         compiled.add_function(0, function)
-    image = VoltronMachine(compiled, single_core()).memory.as_dict()
+    image = VoltronMachine(compiled, mesh(1)).memory.as_dict()
     lines = "\n".join(f"{addr}={image[addr]!r}" for addr in sorted(image))
     return hashlib.sha256(lines.encode()).hexdigest()
 
