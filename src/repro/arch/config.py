@@ -127,10 +127,12 @@ class MachineConfig:
 
 #: Flat override keys accepted by :func:`apply_overrides`, split by the
 #: dataclass they land on.  Network knobs are addressable without the
-#: ``network.`` prefix so sweep specs stay one flat mapping.
+#: ``network.`` prefix so sweep specs stay one flat mapping.  The core
+#: count and mesh shape are the machine itself, not knobs on it.
 _NETWORK_FIELDS = frozenset(f.name for f in fields(NetworkConfig))
 _MACHINE_FIELDS = frozenset(
-    f.name for f in fields(MachineConfig) if f.name != "network"
+    f.name for f in fields(MachineConfig)
+    if f.name not in ("network", "n_cores", "mesh_shape")
 )
 
 
@@ -139,11 +141,12 @@ def apply_overrides(
 ) -> MachineConfig:
     """A copy of ``config`` with flat field overrides applied.
 
-    Accepts top-level :class:`MachineConfig` fields (``memory_latency``,
-    ``tm_commit_latency``, ...) and :class:`NetworkConfig` fields
-    (``queue_depth``, ``queue_cycles_per_hop``, ...) in one mapping --
-    the shape the design-space sweep driver explores.  Unknown keys
-    raise so a typo'd axis never silently sweeps nothing.
+    Accepts top-level :class:`MachineConfig` fields other than the core
+    count and mesh shape (``memory_latency``, ``tm_commit_latency``,
+    ...) and :class:`NetworkConfig` fields (``queue_depth``,
+    ``queue_cycles_per_hop``, ...) in one mapping -- the shape the
+    design-space sweep driver explores.  Unknown keys raise so a typo'd
+    axis never silently sweeps nothing.
     """
     if not overrides:
         return config

@@ -178,7 +178,7 @@ class ResultCache:
 
     @property
     def tallies(self) -> Dict[str, int]:
-        """Probe traffic so far, as the cache report line reads it."""
+        """Probe traffic so far, as the report line and the sweep read it."""
         return {"hits": self.hits, "misses": self.misses, "quarantined": self.quarantined}
 
     def _path(self, key: str) -> Path:

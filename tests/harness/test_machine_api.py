@@ -120,6 +120,11 @@ class TestCustomMeshShape:
         assert api.run_cell("rawcaudio", self.ODD, "ilp").correct
         assert shapes == {16: (2, 8)}
 
+    @pytest.mark.parametrize("key, value", [("mesh_shape", (2, 8)), ("n_cores", 4)])
+    def test_shape_and_size_are_not_flat_overrides(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            api.session(["rawcaudio"], config_overrides={key: value})
+
 
 class TestSweepMachines:
     def test_machine_entries_may_only_vary_cores_and_coherence(self):
