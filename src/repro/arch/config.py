@@ -33,12 +33,17 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Scalar operand network parameters (paper Section 3.1)."""
+    """Scalar operand network parameters (paper Section 3.1).
 
-    direct_cycles_per_hop: int = 1
+    Direct mode has no knob: a PUT/GET pair moves its value one hop in
+    the same lock-step cycle.  A queue-mode value lands
+    ``queue_entry_cycles + hops * queue_cycles_per_hop`` cycles after its
+    SEND, and the RECV that reads it takes its own issue cycle: 2 + hops
+    at the defaults.
+    """
+
     queue_entry_cycles: int = 1  # write into the send queue
     queue_cycles_per_hop: int = 1
-    queue_exit_cycles: int = 1  # read from the receive queue
     queue_depth: int = 16
     #: Receive-queue organization.  ``pair`` is the paper's machine: one
     #: private FIFO per (src, dst) pair, each ``queue_depth`` deep --
@@ -58,12 +63,6 @@ class NetworkConfig:
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
 
-    def queue_latency(self, hops: int) -> int:
-        """End-to-end queue-mode latency: 2 + hops for adjacent cores."""
-        return self.queue_entry_cycles + hops * self.queue_cycles_per_hop + (
-            self.queue_exit_cycles
-        )
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -77,11 +76,9 @@ class MachineConfig:
     l1i: CacheConfig = CacheConfig(size_words=1024, associativity=2)
     l2: CacheConfig = CacheConfig(size_words=32768, associativity=4, hit_latency=7)
     memory_latency: int = 100
-    l2_banks: int = 4
     network: NetworkConfig = NetworkConfig()
     coupled_group_size: int = 4  # stall bus reaches at most 4 cores (Sec. 3.2)
     tm_commit_latency: int = 4  # low-cost TM commit check
-    i_fetch_words_per_op: int = 1
     #: Cache-coherence organization.  ``snoop`` is the paper's bus-snooping
     #: MOESI; ``directory`` tracks sharers/owner in an explicit directory
     #: so the protocol scales past a handful of cores.  Timing-only: the

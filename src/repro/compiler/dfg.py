@@ -38,7 +38,6 @@ class Edge:
     kind: str
     delay: int
     reg: Optional[Reg] = None
-    weight: float = 0.0  # partitioning weight (eBUG)
 
 
 class DependenceGraph:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from ..isa.operations import Imm, Opcode, Reg
-from ..isa.program import Function, Program
+from ..isa.program import Function
 from .dfg import carried_register_edges
 from .loops import Accumulator, InductionVariable, Loop, live_out_regs
 from .profiling import ExecutionProfile
@@ -49,7 +49,6 @@ COMBINABLE = {
 @dataclass
 class DoallPlan:
     loop: Loop
-    body_label: str
     induction: InductionVariable
     accumulators: List[Accumulator]
     #: (start, bound) as Python ints when both are compile-time constants.
@@ -68,7 +67,6 @@ class DoallPlan:
 
 
 def plan_doall(
-    program: Program,
     function: Function,
     loop: Loop,
     profile: ExecutionProfile,
@@ -127,7 +125,6 @@ def plan_doall(
 
     return DoallPlan(
         loop=loop,
-        body_label=loop.header,
         induction=induction,
         accumulators=accumulators,
         static_bounds=static_bounds,

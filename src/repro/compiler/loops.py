@@ -139,7 +139,7 @@ def find_loops(function: Function) -> List[Loop]:
         if header not in loops:
             continue
         loop = loops[header]
-        _find_preheader(function, loop, preds)
+        _find_preheader(loop, preds)
         _find_exit(function, loop)
         if loop.is_single_block:
             _analyze_single_block(function, loop)
@@ -147,9 +147,7 @@ def find_loops(function: Function) -> List[Loop]:
     return result
 
 
-def _find_preheader(
-    function: Function, loop: Loop, preds: Dict[str, Set[str]]
-) -> None:
+def _find_preheader(loop: Loop, preds: Dict[str, Set[str]]) -> None:
     outside = [p for p in preds[loop.header] if p not in loop.blocks]
     if len(outside) == 1:
         loop.preheader = outside[0]

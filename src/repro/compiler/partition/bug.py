@@ -13,7 +13,7 @@ are not partitioned here; callers handle replication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ...arch.mesh import Mesh
@@ -24,10 +24,9 @@ from ..dfg import FLOW, DependenceGraph
 
 @dataclass
 class PartitionResult:
-    """core id per op uid, plus diagnostic estimates."""
+    """core id per op uid."""
 
     assignment: Dict[int, int]
-    estimated_finish: Dict[int, int] = field(default_factory=dict)
 
 
 class BugPartitioner:
@@ -90,7 +89,7 @@ class BugPartitioner:
             if gid is not None:
                 group_core[gid] = core
 
-        return PartitionResult(assignment=assignment, estimated_finish=finish)
+        return PartitionResult(assignment=assignment)
 
     def _priority_order(
         self, graph: DependenceGraph, heights: Dict[int, int]

@@ -134,7 +134,7 @@ def select_regions(
             continue
 
         if strategy in ("llp", "hybrid"):
-            doall = plan_doall(program, function, loop, profile, n_cores)
+            doall = plan_doall(function, loop, profile, n_cores)
             if doall is not None:
                 regions.append(
                     Region(

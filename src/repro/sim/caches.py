@@ -1,5 +1,5 @@
 """Cache hierarchy: private L1s kept coherent by a snooping MOESI bus
-or a scalable directory protocol, plus a shared (banked) L2.
+or a scalable directory protocol, plus a shared L2.
 
 Timing-only model (values live in :class:`repro.sim.memory.MainMemory`):
 every access returns the number of cycles the in-order core is occupied.
@@ -118,23 +118,17 @@ class SetAssocCache:
 
 
 class SharedL2:
-    """The shared, banked L2.  Banking is tracked for statistics; bank
-    conflicts are not modelled (documented simplification)."""
+    """The shared L2.  Banks and bank conflicts are not modelled
+    (documented simplification)."""
 
-    def __init__(self, config: CacheConfig, n_banks: int) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.array = SetAssocCache(config)
         self.config = config
-        self.n_banks = n_banks
-        self.bank_accesses = [0] * n_banks
         self.hits = 0
         self.misses = 0
 
-    def bank_of(self, line_addr: int) -> int:
-        return line_addr % self.n_banks
-
     def access(self, line_addr: int) -> bool:
         """Returns True on hit; installs the line on miss."""
-        self.bank_accesses[self.bank_of(line_addr)] += 1
         if self.array.lookup(line_addr) is not None:
             self.hits += 1
             return True
@@ -187,7 +181,7 @@ class SnoopBus:
         self.l1ds: List[SetAssocCache] = [
             SetAssocCache(config.l1d) for _ in range(config.n_cores)
         ]
-        self.l2 = SharedL2(config.l2, config.l2_banks)
+        self.l2 = SharedL2(config.l2)
         # Snapshot the handful of latencies the access path reads on every
         # load/store (two attribute hops through the frozen config tree).
         self._line_words = config.l1d.line_words

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.arch.config import CacheConfig, MachineConfig, NetworkConfig, mesh
+from repro.arch.config import (
+    CacheConfig,
+    MachineConfig,
+    NetworkConfig,
+    apply_overrides,
+    mesh,
+)
 
 
 class TestCacheConfig:
@@ -18,18 +24,6 @@ class TestCacheConfig:
     def test_rejects_non_multiple_size(self):
         with pytest.raises(ValueError):
             CacheConfig(size_words=1000, associativity=3)
-
-
-class TestNetworkConfig:
-    def test_queue_latency_matches_paper(self):
-        # 2 cycles + 1 per hop (Section 3.1).
-        net = NetworkConfig()
-        assert net.queue_latency(1) == 3
-        assert net.queue_latency(2) == 4
-
-    def test_direct_latency_is_one_per_hop(self):
-        net = NetworkConfig()
-        assert net.direct_cycles_per_hop == 1
 
 
 class TestMachineConfig:
@@ -61,3 +55,24 @@ class TestMachineConfig:
         config = mesh(4)
         with pytest.raises(Exception):
             config.n_cores = 8
+
+
+class TestRemovedKnobs:
+    """Knobs the simulator never read are gone, and spelling one is an
+    error rather than a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "key",
+        ["queue_exit_cycles", "direct_cycles_per_hop", "l2_banks", "i_fetch_words_per_op"],
+    )
+    def test_flat_override_is_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            apply_overrides(mesh(4), {key: 20})
+
+    def test_network_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            NetworkConfig(queue_exit_cycles=1)
+
+    def test_machine_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            MachineConfig(l2_banks=4)

@@ -20,7 +20,7 @@ def _plan(build, n_cores=4, trip_threshold=None, args=()):
     loops = find_loops(function)
     assert loops, "test program must contain a loop"
     return plan_doall(
-        program, function, loops[0], profile, n_cores,
+        function, loops[0], profile, n_cores,
         trip_threshold=trip_threshold,
     )
 

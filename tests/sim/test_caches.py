@@ -161,7 +161,7 @@ class TestL1ICache:
         icache = L1ICache(config.l1i)
         misses = []
         icache.on_icache_miss = misses.append
-        l2 = SharedL2(config.l2, config.l2_banks)
+        l2 = SharedL2(config.l2)
         first = icache.access(0, l2, config.memory_latency)
         assert first == config.memory_latency
         again = icache.access(1, l2, config.memory_latency)  # same line
@@ -172,23 +172,16 @@ class TestL1ICache:
         config = mesh(4)
         icache_a = L1ICache(config.l1i)
         icache_b = L1ICache(config.l1i)
-        l2 = SharedL2(config.l2, config.l2_banks)
+        l2 = SharedL2(config.l2)
         icache_a.access(0, l2, config.memory_latency)
         # Second core's miss on the same line hits the shared L2.
         assert icache_b.access(0, l2, config.memory_latency) == config.l2.hit_latency
 
 
 class TestSharedL2:
-    def test_bank_accounting(self):
-        config = mesh(4)
-        l2 = SharedL2(config.l2, 4)
-        for line in range(8):
-            l2.access(line)
-        assert l2.bank_accesses == [2, 2, 2, 2]
-
     def test_hit_miss_counters(self):
         config = mesh(4)
-        l2 = SharedL2(config.l2, 4)
+        l2 = SharedL2(config.l2)
         assert not l2.access(0)
         assert l2.access(0)
         assert l2.hits == 1 and l2.misses == 1

@@ -74,14 +74,14 @@ class TestKernelCharacter:
         profile = profile_program(program)
         function = program.main()
         loop = find_loops(function)[0]
-        assert plan_doall(program, function, loop, profile, 4) is not None
+        assert plan_doall(function, loop, profile, 4) is not None
 
     def test_reduction_kernel_has_accumulator(self):
         program, _ = build_with(reduction_kernel, trips=64)
         profile = profile_program(program)
         function = program.main()
         loop = find_loops(function)[0]
-        plan = plan_doall(program, function, loop, profile, 4)
+        plan = plan_doall(function, loop, profile, 4)
         assert plan is not None and len(plan.accumulators) == 1
 
     def test_serial_kernel_resists_all_parallelization(self):
@@ -133,7 +133,7 @@ class TestKernelCharacter:
         profile = profile_program(program)
         function = program.main()
         loop = find_loops(function)[0]
-        assert plan_doall(program, function, loop, profile, 4) is not None
+        assert plan_doall(function, loop, profile, 4) is not None
 
     def test_stencil_matches_reference_formula(self):
         program, out = build_with(KERNELS["stencil"], trips=16)
@@ -154,7 +154,7 @@ class TestKernelCharacter:
         profile = profile_program(program)
         function = program.main()
         loop = find_loops(function)[0]
-        assert plan_doall(program, function, loop, profile, 4) is None
+        assert plan_doall(function, loop, profile, 4) is None
 
     def test_histogram_counts_sum_to_trips(self):
         program, out = build_with(KERNELS["histogram"], trips=48, bins=8)
