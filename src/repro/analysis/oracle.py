@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..arch.config import mesh
 from ..compiler.driver import VoltronCompiler
-from ..isa.interp import run_program
 from ..isa.program import Program
 from .findings import Finding
 from .sanitizer import run_sanitized
@@ -118,7 +117,8 @@ def check_program(
         if not report.ok:
             return failed("static", cell, _summary(report.active_findings()))
 
-    reference = run_program(program)
+    # The profile run is the reference run: same program, no arguments.
+    reference = compiler.take_profile_run()
     expected = {
         name: reference.array_values(program, name) for name in outputs
     }

@@ -145,8 +145,8 @@ def cache_key(
 
 
 def reference_key(program_key: ProgramKey) -> str:
-    """Cache key for the reference interpreter's output arrays: they
-    depend only on the program itself, not on any machine or strategy."""
+    """Key of the reference interpreter's output arrays: they depend
+    only on the program itself, not on any machine or strategy."""
     return program_key.reference
 
 

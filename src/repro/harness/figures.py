@@ -16,7 +16,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..arch.config import mesh
 from ..compiler.driver import VoltronCompiler
-from ..isa.interp import run_program
 from ..sim.machine import VoltronMachine
 from ..sim.stats import STALL_CATEGORIES
 from ..workloads.suite import build_recipe
@@ -189,8 +188,8 @@ def figure7_9_examples() -> Dict[str, float]:
     ):
         bench = build_recipe(((kernel, kwargs),), label, data_seed=7)
         program, (out,) = bench.program, bench.outputs
-        reference = run_program(program)
         compiler = VoltronCompiler(program)
+        reference = compiler.take_profile_run()
         base_machine = VoltronMachine(
             compiler.compile("baseline", mesh(1)), mesh(1)
         )
