@@ -8,8 +8,8 @@ semantics.  It serves three roles in the reproduction:
    interpreter's.
 2. **Profiling substrate** -- the paper's compiler relies on memory
    profiling (statistical DOALL detection) and cache-miss profiling (eBUG
-   edge weights, region selection).  Observers registered on the
-   interpreter see every executed operation and every memory access.
+   edge weights, region selection).  An observer passed to the
+   interpreter sees every entered block and every memory access.
 3. **Dynamic weight source** -- per-operation execution counts weight the
    region selection policy the same way Trimaran's profiles weight the
    paper's.
@@ -18,7 +18,7 @@ semantics.  It serves three roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .operations import (
     ALU_SEMANTICS,
@@ -31,12 +31,6 @@ from .operations import (
 )
 from .program import BasicBlock, Function, Program
 from .registers import RegisterFile, Value
-
-#: Observer signatures.
-OpObserver = Callable[[Operation, "Frame"], None]
-MemObserver = Callable[[Operation, int, bool, "Frame"], None]
-BlockObserver = Callable[[BasicBlock, "Frame"], None]
-
 
 class InterpreterError(Exception):
     pass
@@ -74,24 +68,24 @@ class InterpResult:
 
 
 class Interpreter:
-    """Sequential big-step interpreter over the virtual ISA."""
+    """Sequential big-step interpreter over the virtual ISA.
 
-    def __init__(self, program: Program, fuel: int = 20_000_000) -> None:
+    ``observer`` is one optional read-only consumer, shaped like a
+    simulator probe consumer (:mod:`repro.sim.probe`): each event it
+    implements -- a method of the event's name -- is bound once, and the
+    ones it lacks stay None.  The events are ``block(block, frame)``, on
+    entering each executed block, and ``memory(op, addr, is_store,
+    frame)``, before each load or store.
+    """
+
+    def __init__(
+        self, program: Program, fuel: int = 20_000_000, observer=None
+    ) -> None:
         program.validate()
         self.program = program
         self.fuel = fuel
-        self.op_observers: List[OpObserver] = []
-        self.mem_observers: List[MemObserver] = []
-        self.block_observers: List[BlockObserver] = []
-
-    def observe_ops(self, observer: OpObserver) -> None:
-        self.op_observers.append(observer)
-
-    def observe_memory(self, observer: MemObserver) -> None:
-        self.mem_observers.append(observer)
-
-    def observe_blocks(self, observer: BlockObserver) -> None:
-        self.block_observers.append(observer)
+        self.on_block = getattr(observer, "block", None)
+        self.on_memory = getattr(observer, "memory", None)
 
     # -- execution -----------------------------------------------------------
 
@@ -134,8 +128,6 @@ class Interpreter:
             if dynamic_ops > self.fuel:
                 raise OutOfFuel(f"exceeded {self.fuel} dynamic operations")
             op_counts[op.uid] = op_counts.get(op.uid, 0) + 1
-            for observer in self.op_observers:
-                observer(op, frame)
 
             outcome = self._execute(op, frame, registers, memory, stack)
             if outcome == "halt":
@@ -174,8 +166,8 @@ class Interpreter:
         self._count_block(frame, block_counts)
 
     def _notify_block(self, frame: Frame) -> None:
-        for observer in self.block_observers:
-            observer(frame.block, frame)
+        if self.on_block is not None:
+            self.on_block(frame.block, frame)
 
     @staticmethod
     def _count_block(
@@ -233,14 +225,14 @@ class Interpreter:
             return "next"
         if opcode is Opcode.LOAD:
             addr = int(read(op.srcs[0])) + int(read(op.srcs[1]))
-            for observer in self.mem_observers:
-                observer(op, addr, False, frame)
+            if self.on_memory is not None:
+                self.on_memory(op, addr, False, frame)
             registers.write(op.dest, memory.get(addr, 0))
             return "next"
         if opcode is Opcode.STORE:
             addr = int(read(op.srcs[0])) + int(read(op.srcs[1]))
-            for observer in self.mem_observers:
-                observer(op, addr, True, frame)
+            if self.on_memory is not None:
+                self.on_memory(op, addr, True, frame)
             memory[addr] = read(op.srcs[2])
             return "next"
         if opcode is Opcode.PBR:

@@ -99,22 +99,19 @@ class TestFuelAndErrors:
 
 
 class TestObservers:
-    def test_op_observer_sees_every_dynamic_op(self):
-        program = _simple_loop_program(4)
-        interp = Interpreter(program)
-        count = [0]
-        interp.observe_ops(lambda op, frame: count.__setitem__(0, count[0] + 1))
-        result = interp.run()
-        assert count[0] == result.dynamic_ops
+    def test_dynamic_ops_counts_every_executed_op(self):
+        result = run_program(_simple_loop_program(4))
+        assert result.dynamic_ops == sum(result.op_counts.values()) > 0
 
     def test_memory_observer_sees_loads_and_stores(self):
         program = _simple_loop_program(4)
-        interp = Interpreter(program)
         events = []
-        interp.observe_memory(
-            lambda op, addr, is_store, frame: events.append((addr, is_store))
-        )
-        interp.run()
+
+        class Observer:
+            def memory(self, op, addr, is_store, frame):
+                events.append((addr, is_store))
+
+        Interpreter(program, observer=Observer()).run()
         loads = [e for e in events if not e[1]]
         stores = [e for e in events if e[1]]
         assert len(loads) == 4
@@ -134,12 +131,13 @@ class TestObservers:
         fb.block("entry")
         fb.call("h", [])
         fb.halt()
-        interp = Interpreter(pb.finish())
         depths = []
-        interp.observe_blocks(
-            lambda block, frame: depths.append((frame.function.name, frame.depth))
-        )
-        interp.run()
+
+        class Observer:
+            def block(self, block, frame):
+                depths.append((frame.function.name, frame.depth))
+
+        Interpreter(pb.finish(), observer=Observer()).run()
         assert ("main", 0) in depths
         assert ("h", 1) in depths
 
