@@ -12,12 +12,16 @@ with their net and code lines.
 Usage (from the repository root; the directory defaults to ``src``)::
 
     python scripts/src_lines.py [SRC_DIR]
+
+A path that is not a directory is an error, not an empty tree.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -76,8 +80,16 @@ def tally(root: Path) -> List[Tuple[str, int, int]]:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    root = Path(args[0] if args else "src")
+    parser = argparse.ArgumentParser(
+        description="Count the net and code lines of the package source."
+    )
+    parser.add_argument(
+        "src_dir", nargs="?", default="src", type=Path,
+        help="directory to count (default: src)",
+    )
+    root = parser.parse_args(argv).src_dir
+    if not root.is_dir():
+        parser.error(f"{root} is not a directory")
     modules = tally(root)
     print(f"files : {len(modules)} under {root}")
     print(f"net   : {sum(net for _, net, _ in modules)} lines")
@@ -92,4 +104,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (``head``, say) closed the pipe early: stop quietly,
+        # and keep the interpreter's own final flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

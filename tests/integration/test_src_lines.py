@@ -1,7 +1,12 @@
 """scripts/src_lines.py: what counts as a code line, and what it prints."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "src_lines.py"
 
@@ -56,3 +61,37 @@ def test_main_lists_the_five_largest_modules(tmp_path, capsys):
         ["3", "/", "2", "a.py"],
         ["2", "/", "1", "f.py"],
     ]
+
+
+def test_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _load().main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_a_path_that_is_not_a_directory_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exit_info:
+        _load().main([str(missing)])
+    assert exit_info.value.code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{missing} is not a directory" in captured.err
+
+
+def test_a_closed_pipe_ends_without_a_traceback(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
