@@ -25,6 +25,9 @@ from ..isa.registers import Value
 from ..sim.caches import EXCLUSIVE, MODIFIED, SetAssocCache
 from .loops import Loop, find_loops
 
+#: The serial L1 the cache-miss profile simulates.
+PROFILE_L1D = CacheConfig(size_words=1024, associativity=2)
+
 
 @dataclass
 class LoopProfile:
@@ -98,15 +101,10 @@ class Profiler:
     """Runs the program once, as the interpreter's observer, and gathers
     all three profiles."""
 
-    def __init__(
-        self,
-        program: Program,
-        l1d: Optional[CacheConfig] = None,
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.l1d = l1d or CacheConfig(size_words=1024, associativity=2)
         self.profile = ExecutionProfile()
-        self._cache = SetAssocCache(self.l1d)
+        self._cache = SetAssocCache(PROFILE_L1D)
         self._loops_by_function: Dict[str, List[Loop]] = {
             name: find_loops(function)
             for name, function in program.functions.items()
@@ -165,7 +163,7 @@ class Profiler:
                 state.profile.iterations += 1
 
     def memory(self, op: Operation, addr: int, is_store: bool, frame: Frame) -> None:
-        line_addr = addr // self.l1d.line_words
+        line_addr = addr // PROFILE_L1D.line_words
         hit = self._cache.lookup(line_addr) is not None
         self._cache.insert(line_addr, MODIFIED if is_store else EXCLUSIVE)
         self.profile.load_accesses[op.uid] = (

@@ -52,14 +52,13 @@ class ObsConfig:
 
     ``sample_stride`` is the metrics-series sampling period in cycles;
     ``max_events`` bounds the discrete event lists (spans are run-length
-    merged and exempt); ``single_step`` forces the reference per-cycle
-    kernel so every cycle is individually visible in the series (stats
-    are bit-identical either way -- the differential suite's guarantee).
+    merged and exempt).  To see every cycle individually in the series,
+    run the machine with ``fast_forward=False`` (stats are bit-identical
+    either way -- the differential suite's guarantee).
     """
 
     sample_stride: int = 64
     max_events: int = 2_000_000
-    single_step: bool = False
 
     def __post_init__(self) -> None:
         if self.sample_stride < 1:
@@ -187,8 +186,6 @@ class Observability:
         self.stall_spans = [[] for _ in range(self.n_cores)]
         self.series = MetricsSeries(self.config.sample_stride, self.n_cores)
         self._mode_open = (machine.cycle, machine.mode)
-        if self.config.single_step:
-            machine.fast_forward = False
 
     # -- bounded event storage -----------------------------------------------------
 

@@ -143,13 +143,13 @@ class SharedL2:
 class L1ICache:
     """Private instruction cache; fills from the shared L2."""
 
-    def __init__(self, config: CacheConfig) -> None:
+    def __init__(self, config: CacheConfig, faults=None) -> None:
         self.array = SetAssocCache(config)
         self.config = config
         self.line_words = config.line_words
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: fetches occasionally take extra cycles even on a hit.
-        self.faults = None
+        self.faults = faults
         #: Probe event, bound with the owning core's id by the machine
         #: (see :mod:`repro.sim.probe`).
         self.on_icache_miss = None
@@ -176,7 +176,7 @@ class L1ICache:
 class SnoopBus:
     """The shared snooping bus tying the L1 data caches to the L2."""
 
-    def __init__(self, config: MachineConfig) -> None:
+    def __init__(self, config: MachineConfig, faults=None) -> None:
         self.config = config
         self.l1ds: List[SetAssocCache] = [
             SetAssocCache(config.l1d) for _ in range(config.n_cores)
@@ -191,7 +191,7 @@ class SnoopBus:
         self.cache_to_cache = 0
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing):
         #: data accesses occasionally take extra cycles, hit or miss.
-        self.faults = None
+        self.faults = faults
         #: Probe event (bound by the machine, see :mod:`repro.sim.probe`).
         self.on_cache_miss = None
 
@@ -300,8 +300,8 @@ class DirectoryCoherence(SnoopBus):
     memory (and its hit/miss pattern) matches the snoop bus bit for bit.
     """
 
-    def __init__(self, config: MachineConfig) -> None:
-        super().__init__(config)
+    def __init__(self, config: MachineConfig, faults=None) -> None:
+        super().__init__(config, faults)
         self.directory_latency = config.directory_latency
         #: line_addr -> cores whose L1 holds the line in any valid state.
         self._presence: Dict[int, Set[int]] = {}
@@ -433,9 +433,9 @@ class DirectoryCoherence(SnoopBus):
                     self.l2.writeback(line_addr)
 
 
-def make_coherence(config: MachineConfig) -> SnoopBus:
+def make_coherence(config: MachineConfig, faults=None) -> SnoopBus:
     """The coherence fabric ``config`` selects: the paper's snoop bus,
     or the scalable directory for ``coherence="directory"``."""
     if config.coherence == "directory":
-        return DirectoryCoherence(config)
-    return SnoopBus(config)
+        return DirectoryCoherence(config, faults)
+    return SnoopBus(config, faults)

@@ -88,15 +88,43 @@ _NEVER = 1 << 62
 #: Valid values for :attr:`FaultConfig.profile`.
 FAULT_PROFILES = ("timing", "destructive", "both")
 
+#: Delay bounds in cycles of the timing channels: memory latency (data
+#: accesses and instruction fetches alike), queue-mode delivery,
+#: stall-bus holds, directory indirection and vlink pool contention.
+MAX_MEM_DELAY = 24
+MAX_NET_DELAY = 12
+MAX_STALL_HOLD = 8
+MAX_DIRECTORY_DELAY = 16
+MAX_VLINK_HOLD = 8
+
+#: Every injection channel, in :meth:`FaultPlan.summary` order: its
+#: stream name (the sha256 seed of its schedule; the probe event, the
+#: summary key and the plan attribute spell "-" as "_"), the
+#: :class:`FaultConfig` field holding its rate, the profile family that
+#: arms it, and its delay bound in cycles (None: ``max_blackout``).
+CHANNELS = (
+    ("mem", "rate", "timing", MAX_MEM_DELAY),
+    ("ifetch", "rate", "timing", MAX_MEM_DELAY),
+    ("net", "rate", "timing", MAX_NET_DELAY),
+    ("stall-bus", "rate", "timing", MAX_STALL_HOLD),
+    ("directory", "rate", "timing", MAX_DIRECTORY_DELAY),
+    ("vlink", "rate", "timing", MAX_VLINK_HOLD),
+    ("tm", "tm_rate", "timing", 1),
+    ("corrupt", "corrupt_rate", "destructive", 1),
+    ("drop", "drop_rate", "destructive", 1),
+    ("blackout", "blackout_rate", "destructive", None),
+)
+
 
 @dataclass(frozen=True)
 class FaultConfig:
     """Knobs deriving a deterministic fault schedule.
 
     ``rate`` is the per-site firing probability of the latency channels
-    (memory, instruction fetch, network, stall bus); ``tm_rate`` is the
-    per-commit probability of a spurious conflict.  The ``max_*`` bounds
-    cap each injected delay in cycles.
+    (memory, instruction fetch, network, stall bus, directory, vlink);
+    ``tm_rate`` is the per-commit probability of a spurious conflict.
+    Each injected delay is capped by its channel's fixed bound
+    (:data:`CHANNELS`).
 
     ``profile`` selects the channel family: ``"timing"`` arms only the
     latency channels above (the default, and exactly the pre-existing
@@ -107,30 +135,23 @@ class FaultConfig:
     core-cycle probability of a transient blackout lasting up to
     ``max_blackout`` cycles.  ``retransmit_budget`` bounds failed
     attempts per message before the final retransmission is sent
-    reliably (the deadlock escape); ``backoff_base`` scales the
-    exponential retransmission backoff; ``heartbeat_misses`` is how many
-    missed stall-bus heartbeats the watchdog tolerates before declaring
-    a core dead; ``blackout_budget`` is how many blackouts one core may
-    suffer before the scheduler degrades it at the next MODE_SWITCH
-    barrier.
+    reliably (the deadlock escape); ``blackout_budget`` is how many
+    blackouts one core may suffer before the scheduler degrades it at
+    the next MODE_SWITCH barrier.  The retransmission backoff and the
+    watchdog's heartbeat tolerance are fixed
+    (:data:`repro.sim.recovery.BACKOFF_BASE`,
+    :data:`repro.sim.recovery.HEARTBEAT_MISSES`).
     """
 
     seed: int = 0
     rate: float = 0.01
     tm_rate: float = 0.25
-    max_mem_delay: int = 24
-    max_net_delay: int = 12
-    max_stall_hold: int = 8
-    max_directory_delay: int = 16
-    max_vlink_hold: int = 8
     profile: str = "timing"
     corrupt_rate: float = 0.02
     drop_rate: float = 0.02
     blackout_rate: float = 0.0001
     max_blackout: int = 64
     retransmit_budget: int = 4
-    backoff_base: int = 2
-    heartbeat_misses: int = 4
     blackout_budget: int = 2
 
     def __post_init__(self) -> None:
@@ -139,15 +160,11 @@ class FaultConfig:
                 f"profile must be one of {FAULT_PROFILES}, "
                 f"got {self.profile!r}"
             )
-        for name in ("rate", "tm_rate", "corrupt_rate", "drop_rate",
-                     "blackout_rate"):
+        for name in dict.fromkeys(field for _, field, _, _ in CHANNELS):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("max_mem_delay", "max_net_delay", "max_stall_hold",
-                     "max_directory_delay", "max_vlink_hold",
-                     "max_blackout", "retransmit_budget", "backoff_base",
-                     "heartbeat_misses", "blackout_budget"):
+        for name in ("max_blackout", "retransmit_budget", "blackout_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -217,9 +234,10 @@ class _Channel:
 
 class FaultPlan:
     """A deterministic fault schedule, consumed site by site as the
-    machine runs.  Attach one via ``VoltronMachine(..., faults=plan)``;
-    the machine wires it into the bus, the instruction caches, the
-    operand network, and the TM.  Stall fast-forwarding stays on: each
+    machine runs.  Attach one via ``VoltronMachine(..., faults=plan)``
+    (a plan, never a bare :class:`FaultConfig`); the machine hands it
+    to the bus, the instruction caches, the operand network, and the
+    TM.  Stall fast-forwarding stays on: each
     window is capped at :meth:`horizon` and its probes consumed by
     :meth:`skip`, so a fast-forwarded run draws the same schedule as a
     single-stepped one."""
@@ -228,32 +246,30 @@ class FaultPlan:
         self.config = config
         #: Probe event (bound by the machine, see :mod:`repro.sim.probe`).
         self.on_fault = None
-        timing = config.profile in ("timing", "both")
-        destructive = config.profile in ("destructive", "both")
-        rate = config.rate if timing else 0.0
-        tm_rate = config.tm_rate if timing else 0.0
-        self._mem = _Channel(self, "mem", rate, config.max_mem_delay)
-        self._ifetch = _Channel(self, "ifetch", rate, config.max_mem_delay)
-        self._net = _Channel(self, "net", rate, config.max_net_delay)
-        self._stall = _Channel(self, "stall-bus", rate, config.max_stall_hold)
-        self._dir = _Channel(self, "directory", rate,
-                             config.max_directory_delay)
-        self._vpool = _Channel(self, "vlink", rate, config.max_vlink_hold)
-        self._tm = _Channel(self, "tm", tm_rate, 1)
-        corrupt = config.corrupt_rate if destructive else 0.0
-        drop = config.drop_rate if destructive else 0.0
-        blackout = config.blackout_rate if destructive else 0.0
-        self._corrupt = _Channel(self, "corrupt", corrupt, 1)
-        self._drop = _Channel(self, "drop", drop, 1)
-        self._blackout = _Channel(self, "blackout", blackout,
-                                  config.max_blackout)
+        armed = {
+            "timing": config.profile in ("timing", "both"),
+            "destructive": config.profile in ("destructive", "both"),
+        }
+        #: The channels in :data:`CHANNELS` order; each is also the
+        #: attribute ``_<event>`` its accessor reads.
+        self._channels = tuple(
+            _Channel(
+                self, name,
+                getattr(config, field) if armed[family] else 0.0,
+                config.max_blackout if bound is None else bound,
+            )
+            for name, field, family, bound in CHANNELS
+        )
+        for channel in self._channels:
+            setattr(self, "_" + channel.event, channel)
         #: True when the timing channel family is armed.
-        self.timing = timing
+        self.timing = armed["timing"]
         #: True when any destructive channel is armed: the machine then
         #: builds a :class:`~repro.sim.recovery.RecoveryManager` and the
         #: operand network stamps CRCs onto outgoing messages.
-        self.destructive = destructive and (
-            corrupt > 0.0 or drop > 0.0 or blackout > 0.0
+        self.destructive = armed["destructive"] and any(
+            getattr(config, field) > 0.0
+            for _, field, family, _ in CHANNELS if family == "destructive"
         )
 
     # -- injection probes (one per site kind) ----------------------------------
@@ -272,21 +288,21 @@ class FaultPlan:
 
     def stall_hold(self) -> int:
         """Cycles to assert the stall bus over a coupled group (0 = none)."""
-        return self._stall.fire()
+        return self._stall_bus.fire()
 
     def directory_delay(self) -> int:
         """Extra cycles for a directory transaction -- a miss or upgrade
         indirection waiting at a congested home node (0 = no fault).
         Probed only by :class:`~repro.sim.caches.DirectoryCoherence`, so
         snoop-bus machines never consume this stream."""
-        return self._dir.fire()
+        return self._directory.fire()
 
     def vlink_hold(self) -> int:
         """Extra in-flight cycles for a vlink SEND contending for the
         receiver's shared pool (0 = no fault).  Probed only under the
         ``vlink`` queue policy, so per-pair machines never consume this
         stream."""
-        return self._vpool.fire()
+        return self._vlink.fire()
 
     def spurious_conflict(self) -> bool:
         """Whether to abort a validation-passing commit anyway."""
@@ -318,12 +334,12 @@ class FaultPlan:
         (once per coupled ensemble with a running core) and
         ``blackout_probes`` times (once per decoupled core reaching the
         blackout gate).  No other channel is probed by a stalled cycle."""
-        return min(self._stall.horizon(stall_probes),
+        return min(self._stall_bus.horizon(stall_probes),
                    self._blackout.horizon(blackout_probes))
 
     def skip(self, stall_probes: int, blackout_probes: int) -> None:
         """Consume a fast-forwarded window's non-firing probes in bulk."""
-        self._stall.skip(stall_probes)
+        self._stall_bus.skip(stall_probes)
         self._blackout.skip(blackout_probes)
 
     def clip_window(self, cycle: int, target: int, stall_probes: int,
@@ -348,35 +364,17 @@ class FaultPlan:
     # -- accounting -------------------------------------------------------------
 
     def injections(self) -> int:
-        return sum(channel.fires for channel in self._channels())
+        return sum(channel.fires for channel in self._channels)
 
     def injected_cycles(self) -> int:
-        return sum(channel.injected_cycles for channel in self._channels())
+        return sum(channel.injected_cycles for channel in self._channels)
 
     def summary(self) -> Dict[str, int]:
         """Per-channel fire counts plus totals (stable key order)."""
-        out: Dict[str, int] = {}
-        for name, channel in (
-            ("mem", self._mem),
-            ("ifetch", self._ifetch),
-            ("net", self._net),
-            ("stall_bus", self._stall),
-            ("directory", self._dir),
-            ("vlink", self._vpool),
-            ("tm", self._tm),
-            ("corrupt", self._corrupt),
-            ("drop", self._drop),
-            ("blackout", self._blackout),
-        ):
-            out[name] = channel.fires
+        out = {channel.event: channel.fires for channel in self._channels}
         out["injections"] = self.injections()
         out["injected_cycles"] = self.injected_cycles()
         return out
-
-    def _channels(self):
-        return (self._mem, self._ifetch, self._net, self._stall, self._dir,
-                self._vpool, self._tm, self._corrupt, self._drop,
-                self._blackout)
 
     def __repr__(self) -> str:
         return f"FaultPlan({self.config!r}, injections={self.injections()})"

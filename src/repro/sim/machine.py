@@ -81,7 +81,7 @@ from ..isa.operations import (
 from ..isa.registers import RegisterLayout, Value
 from .caches import L1ICache, make_coherence
 from .core import BARRIER_WAIT, HALTED, LISTENING, RUNNING, UNWRITTEN, AwakeSet, Core
-from .faults import FaultConfig, FaultPlan
+from .faults import FaultPlan
 from .memory import MainMemory
 from .network import OperandNetwork
 from .probe import bind
@@ -154,29 +154,21 @@ class VoltronMachine:
         rows, cols = config.mesh_shape
         self.mesh = Mesh(rows, cols, config.n_cores)
         self.memory = MainMemory(compiled.program.memory_image())
-        self.bus = make_coherence(config)
-        self.icaches = [L1ICache(config.l1i) for _ in range(config.n_cores)]
-        self.network = OperandNetwork(self.mesh, config.network)
-        self.tm = TransactionalMemory(self.memory)
-
-        # Fault injection (chaos testing): wire the plan into every
-        # subsystem with an injection site.
-        if isinstance(faults, FaultConfig):
-            faults = FaultPlan(faults)
+        # Fault injection (chaos testing): every subsystem with an
+        # injection site gets the plan.  Destructive faults add a recovery
+        # subsystem: the link layer, the blackout watchdog, the degradation
+        # scheduler.  With neither, every hook is a single is-None check.
         self.faults = faults
-        # Destructive faults add a recovery subsystem: the link layer, the
-        # blackout watchdog, the degradation scheduler.  With neither, every
-        # hook is a single is-None check.
-        self.recovery: Optional[RecoveryManager] = None
-        if faults is not None:
-            self.bus.faults = faults
-            for icache in self.icaches:
-                icache.faults = faults
-            self.network.faults = faults
-            self.tm.faults = faults
-            if faults.destructive:
-                self.recovery = RecoveryManager(self, faults)
-                self.network.recovery = self.recovery
+        self.recovery: Optional[RecoveryManager] = (
+            RecoveryManager(self, faults)
+            if faults is not None and faults.destructive else None
+        )
+        self.bus = make_coherence(config, faults)
+        self.icaches = [L1ICache(config.l1i, faults) for _ in range(config.n_cores)]
+        self.network = OperandNetwork(
+            self.mesh, config.network, faults, self.recovery
+        )
+        self.tm = TransactionalMemory(self.memory, faults)
 
         self._memory_latency = config.memory_latency
         self._predecode()

@@ -138,7 +138,8 @@ class DirectWires:
 class OperandNetwork:
     """Queue-mode transport plus the direct wires."""
 
-    def __init__(self, mesh: Mesh, config: NetworkConfig) -> None:
+    def __init__(self, mesh: Mesh, config: NetworkConfig, faults=None,
+                 recovery=None) -> None:
         self.mesh = mesh
         self.config = config
         self.direct = DirectWires(mesh)
@@ -170,13 +171,13 @@ class OperandNetwork:
         #: Delays never reorder a (src, dst) pair -- the physical channel
         #: is a FIFO, so a delayed message also delays its successors
         #: (_fifo_floor tracks the pair's latest arrival).
-        self.faults = None
+        self.faults = faults
         self._fifo_floor: Dict[Tuple[int, int], int] = {}
         #: Optional :class:`~repro.sim.recovery.RecoveryManager`: when
         #: attached (destructive faults armed), SENDs stamp a CRC and
         #: every delivery becomes a transmission attempt the link layer
         #: adjudicates (CRC check / drop detection / retransmission).
-        self.recovery = None
+        self.recovery = recovery
         #: Probe events (bound by the machine, see :mod:`repro.sim.probe`).
         self.on_net_send = None
         self.on_net_recv = None

@@ -20,7 +20,7 @@ mechanisms the paper's design already implies, made explicit:
 
 * **Watchdog (stall-bus heartbeats) + checkpoint rollback.**  Each core
   pulses the 1-bit stall bus every cycle; a blacked-out core goes
-  silent.  After ``heartbeat_misses`` missed pulses the watchdog
+  silent.  After ``HEARTBEAT_MISSES`` missed pulses the watchdog
   declares the core dead and recovers its chunk through the existing TM
   path: abort the transaction (discarding the write buffer), restore
   the compiler's register checkpoint, and re-execute from the chunk's
@@ -59,6 +59,14 @@ from .core import RUNNING
 #: Fixed restore cost once the watchdog fires: re-initializing the
 #: pipeline and reloading the register checkpoint.
 RESTORE_LATENCY = 8
+
+#: Cycles of the first retransmission backoff; each further failed
+#: attempt of the same message doubles it.
+BACKOFF_BASE = 2
+
+#: Missed stall-bus heartbeats the watchdog tolerates before it declares
+#: a core dead.
+HEARTBEAT_MISSES = 4
 
 #: Horizon of a recovery layer with nothing pending (no run gets there).
 _FAR = 1 << 62
@@ -154,7 +162,6 @@ class RecoveryManager:
         # full garbage collection.
         self.machine = weakref.proxy(machine)
         self.plan = plan
-        self.config = plan.config
         self.counters: Dict[str, int] = {
             key: 0 for key in RECOVERY_COUNTERS
         }
@@ -242,7 +249,7 @@ class RecoveryManager:
         net = network.config
         hops = network.mesh.hops(message.src, message.dst)
         one_way = net.queue_entry_cycles + hops * net.queue_cycles_per_hop
-        backoff = self.config.backoff_base * (1 << (message.attempts - 1))
+        backoff = BACKOFF_BASE * (1 << (message.attempts - 1))
         if outcome == "corrupt":
             wire = scramble(message.value)
             if payload_crc(
@@ -332,7 +339,7 @@ class RecoveryManager:
         # fabric; on clustered machines the silence must propagate up
         # the cluster-level stall network first.
         detect = (
-            cycle + self.config.heartbeat_misses
+            cycle + HEARTBEAT_MISSES
             + self.machine._cluster_penalty
         )
         self._down[core_id] = {"wake": cycle + duration, "detect": detect}
@@ -392,7 +399,7 @@ class RecoveryManager:
 
     def tick(self, cycle: int) -> None:
         """The watchdog: called once per stepped cycle.  A core whose
-        stall-bus heartbeat has been silent for ``heartbeat_misses``
+        stall-bus heartbeat has been silent for ``HEARTBEAT_MISSES``
         cycles is declared dead and its chunk recovered."""
         if not self._down:
             return
@@ -408,7 +415,7 @@ class RecoveryManager:
             )
             self._event(
                 cycle, "watchdog", core_id,
-                f"missed {self.config.heartbeat_misses} heartbeats "
+                f"missed {HEARTBEAT_MISSES} heartbeats "
                 f"(cluster {cluster})",
             )
             self._recover(core_id, entry, cycle)

@@ -16,7 +16,7 @@ with restored registers.  Ordered commit guarantees that a retry that
 begins after all earlier chunks commit succeeds, so progress is assured.
 
 Fault injection (chaos testing) can attach a
-:class:`~repro.sim.faults.FaultPlan` via the ``faults`` attribute:
+:class:`~repro.sim.faults.FaultPlan` (the ``faults`` argument):
 ``try_commit`` then sometimes aborts a chunk whose validation *passed*,
 exercising the abort -> register-rollback -> re-execute path.  A
 livelock guard keeps the progress guarantee intact under any injection
@@ -66,7 +66,7 @@ class TransactionalMemory:
     #: Consecutive aborts on one core before commit is serialized.
     LIVELOCK_THRESHOLD = 3
 
-    def __init__(self, memory: MainMemory) -> None:
+    def __init__(self, memory: MainMemory, faults=None) -> None:
         self.memory = memory
         self.active: Dict[int, Transaction] = {}
         self._region: Optional[int] = None
@@ -76,7 +76,7 @@ class TransactionalMemory:
         self.commits = 0
         self.aborts = 0
         #: Optional :class:`~repro.sim.faults.FaultPlan` (chaos testing).
-        self.faults = None
+        self.faults = faults
         #: Probe events (bound by the machine, see :mod:`repro.sim.probe`).
         self.on_tx_begin = None
         self.on_tx_commit = None

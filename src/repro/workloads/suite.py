@@ -215,7 +215,3 @@ def build(name: str, seed: int = 1) -> Benchmark:
             f"unknown benchmark {name!r}; choose from {BENCHMARKS}"
         ) from None
     return build_recipe(recipe, name, seed + sum(map(ord, name)))
-
-
-def build_all(seed: int = 1) -> Dict[str, Benchmark]:
-    return {name: build(name, seed) for name in BENCHMARKS}

@@ -9,7 +9,7 @@ from repro.analysis import RaceSanitizer, run_sanitized
 from repro.analysis.mutate import duplicate_send
 from repro.api import compile_benchmark
 from repro.arch.config import mesh
-from repro.sim.faults import FaultConfig
+from repro.sim.faults import FaultConfig, FaultPlan
 from repro.sim.machine import VoltronMachine
 
 
@@ -62,7 +62,7 @@ def test_destructive_faults_are_rejected():
     """Corrupted/dropped messages would make every happens-before edge a
     lie; the sanitizer refuses to attach rather than report garbage."""
     compiled = compile_benchmark("rawcaudio", 4, "tlp")
-    faults = FaultConfig(seed=3, profile="destructive", drop_rate=0.01)
+    faults = FaultPlan(FaultConfig(seed=3, profile="destructive", drop_rate=0.01))
     with pytest.raises(ValueError, match="destructive"):
         VoltronMachine(
             compiled, mesh(4), faults=faults, obs=RaceSanitizer()
@@ -73,7 +73,7 @@ def test_timing_faults_are_fine():
     """Latency-only fault runs keep architectural behaviour, so the
     sanitizer works under them (and still sees no races)."""
     compiled = compile_benchmark("rawcaudio", 4, "tlp")
-    faults = FaultConfig(seed=3, rate=0.01)
+    faults = FaultPlan(FaultConfig(seed=3, rate=0.01))
     sanitizer = RaceSanitizer()
     machine = VoltronMachine(
         compiled, mesh(4), faults=faults, obs=sanitizer

@@ -18,7 +18,7 @@ from repro.compiler import compile_program
 from repro.isa import ProgramBuilder
 from repro.obs import ObsConfig, Observability, reconcile, summarize
 from repro.sim import VoltronMachine
-from repro.sim.faults import FaultConfig
+from repro.sim.faults import FaultConfig, FaultPlan
 from repro.sim.stats import STALL_CATEGORIES
 
 
@@ -59,13 +59,6 @@ class TestAttachment:
         _machine(obs=obs).run()
         with pytest.raises(RuntimeError):
             _machine(obs=obs)
-
-    def test_single_step_disables_fast_forward(self):
-        obs = Observability(ObsConfig(single_step=True))
-        machine = _machine(obs=obs)
-        assert machine.fast_forward is False
-        machine.run()
-        assert obs.ff_windows == []
 
 
 class TestProbes:
@@ -127,11 +120,11 @@ class TestProbes:
     def test_fault_probe_fires_and_run_stays_deterministic(self):
         faults = FaultConfig(seed=3, rate=0.5)
         obs = Observability()
-        machine = _machine("ilp", 2, obs=obs, faults=faults)
+        machine = _machine("ilp", 2, obs=obs, faults=FaultPlan(faults))
         stats = machine.run()
         assert machine.faults.injections() > 0
         assert obs.fault_events
-        unobserved = _machine("ilp", 2, faults=faults).run()
+        unobserved = _machine("ilp", 2, faults=FaultPlan(faults)).run()
         assert stats.to_dict() == unobserved.to_dict()
 
     def test_destructive_mesh_run_reconciles_with_fast_forward_on(self):
@@ -150,13 +143,17 @@ class TestProbes:
             drop_rate=0.05, blackout_rate=0.0005,
         )
         obs = Observability()
-        machine = VoltronMachine(compiled, config, faults=faults, obs=obs)
+        machine = VoltronMachine(
+            compiled, config, faults=FaultPlan(faults), obs=obs
+        )
         stats = machine.run()
         assert machine.fast_forward
         assert stats.recovery["blackouts"] > 0
         assert obs.ff_windows
         reconcile(summarize(obs), stats)
-        unobserved = VoltronMachine(compiled, config, faults=faults).run()
+        unobserved = VoltronMachine(
+            compiled, config, faults=FaultPlan(faults)
+        ).run()
         assert stats.to_dict() == unobserved.to_dict()
 
 
@@ -180,8 +177,9 @@ class TestZeroOverheadDifferential:
 
     def test_single_step_stats_identical_to_fast_forwarded(self):
         plain = _machine("hybrid", 4).run()
-        obs = Observability(ObsConfig(single_step=True))
-        observed = _machine("hybrid", 4, obs=obs).run()
+        obs = Observability()
+        observed = _machine("hybrid", 4, obs=obs, fast_forward=False).run()
+        assert obs.ff_windows == []
         assert observed.to_dict() == plain.to_dict()
         reconcile(summarize(obs), observed)
 

@@ -4,8 +4,31 @@ import pytest
 
 from repro.arch import mesh
 from repro.compiler import VoltronCompiler
+from repro.obs import ObsConfig
 from repro.sim import FaultConfig, FaultPlan, VoltronMachine
+from repro.sim.faults import CHANNELS
 from repro.workloads.suite import build
+
+#: Each channel with a delay to bound -> the plan accessor that draws it.
+DELAY_ACCESSORS = {
+    "mem": "mem_delay",
+    "ifetch": "ifetch_delay",
+    "net": "net_delay",
+    "stall-bus": "stall_hold",
+    "directory": "directory_delay",
+    "vlink": "vlink_hold",
+    "blackout": "blackout_cycles",
+}
+
+#: Knobs that became constants or went away: spelling one is an error,
+#: not a silently ignored setting.
+REMOVED_KNOBS = [
+    (FaultConfig, name) for name in (
+        "max_mem_delay", "max_net_delay", "max_stall_hold",
+        "max_directory_delay", "max_vlink_hold", "backoff_base",
+        "heartbeat_misses",
+    )
+] + [(ObsConfig, "single_step")]
 
 
 class TestFaultConfig:
@@ -17,13 +40,13 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig(tm_rate=2.0)
 
-    def test_delay_bounds_validated(self):
-        with pytest.raises(ValueError):
-            FaultConfig(max_mem_delay=0)
-        with pytest.raises(ValueError):
-            FaultConfig(max_net_delay=0)
-        with pytest.raises(ValueError):
-            FaultConfig(max_stall_hold=-3)
+    @pytest.mark.parametrize(
+        "config_class, name", REMOVED_KNOBS,
+        ids=[name for _, name in REMOVED_KNOBS],
+    )
+    def test_removed_knobs_are_rejected(self, config_class, name):
+        with pytest.raises(TypeError):
+            config_class(**{name: 1})
 
     def test_frozen(self):
         config = FaultConfig(seed=3)
@@ -48,7 +71,7 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig(retransmit_budget=0)
         with pytest.raises(ValueError):
-            FaultConfig(heartbeat_misses=0)
+            FaultConfig(blackout_budget=0)
 
 
 class TestFaultPlan:
@@ -88,12 +111,22 @@ class TestFaultPlan:
         assert all(plan.mem_delay() >= 1 for _ in range(100))
         assert all(plan.spurious_conflict() for _ in range(100))
 
-    def test_delays_respect_bounds(self):
+    @pytest.mark.parametrize(
+        "name, bound",
+        [(name, bound) for name, _, _, bound in CHANNELS
+         if name in DELAY_ACCESSORS],
+        ids=[name for name, *_ in CHANNELS if name in DELAY_ACCESSORS],
+    )
+    def test_delays_respect_bounds(self, name, bound):
         plan = FaultPlan(
-            FaultConfig(seed=2, rate=1.0, max_mem_delay=3, max_net_delay=2)
+            FaultConfig(seed=2, profile="both", rate=1.0, blackout_rate=1.0)
         )
-        assert all(1 <= plan.mem_delay() <= 3 for _ in range(500))
-        assert all(1 <= plan.net_delay() <= 2 for _ in range(500))
+        bound = bound or plan.config.max_blackout
+        draw = getattr(plan, DELAY_ACCESSORS[name])
+        delays = [draw() for _ in range(500)]
+        assert all(1 <= delay <= bound for delay in delays)
+        # The channel draws over its whole range, up to the bound.
+        assert max(delays) == bound
 
     def test_empirical_rate_tracks_configured_rate(self):
         plan = FaultPlan(FaultConfig(seed=9, rate=0.05))

@@ -21,7 +21,7 @@ import pytest
 from repro.arch import mesh
 from repro.arch.config import resolve_machine
 from repro.compiler import VoltronCompiler, compile_program
-from repro.sim import FaultConfig, VoltronMachine
+from repro.sim import FaultConfig, FaultPlan, VoltronMachine
 from repro.sim.caches import L1ICache
 from repro.workloads.suite import build
 
@@ -109,7 +109,9 @@ def icache_accesses(monkeypatch):
 
 def _machine_payload(name, config, strategy, faults) -> dict:
     compiled = VoltronCompiler(build(name).program).compile(strategy, config)
-    machine = VoltronMachine(compiled, config, faults=faults)
+    machine = VoltronMachine(
+        compiled, config, faults=None if faults is None else FaultPlan(faults)
+    )
     payload = {
         "stats": machine.run().to_dict(),
         "memory_sha256": hashlib.sha256(

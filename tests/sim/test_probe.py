@@ -13,7 +13,7 @@ from repro.api import compile_benchmark
 from repro.arch.config import mesh, resolve_machine
 from repro.compiler import VoltronCompiler
 from repro.sim import VoltronMachine
-from repro.sim.faults import FaultConfig
+from repro.sim.faults import FaultConfig, FaultPlan
 from repro.sim.probe import EVENTS
 from repro.workloads.suite import build
 
@@ -65,7 +65,7 @@ def _llp():
 
 
 def _chaos():
-    faults = FaultConfig(seed=3, profile="both")
+    faults = FaultPlan(FaultConfig(seed=3, profile="both"))
     return compile_benchmark("171.swim", 4, "llp"), mesh(4), faults
 
 

@@ -24,6 +24,7 @@ from repro.sim import (
 from repro.sim.network import Message
 from repro.sim.recovery import (
     EVENT_COUNTER_FOR_KIND,
+    HEARTBEAT_MISSES,
     message_crc,
     payload_crc,
     scramble,
@@ -365,7 +366,7 @@ class TestScaleOutRecovery:
         """The watchdog hears a remote cluster's silence only after the
         cluster stall network propagates it: detection on a clustered
         machine lands ``cluster_stall_latency`` later than the 4-core
-        machine's ``heartbeat_misses`` window."""
+        machine's ``HEARTBEAT_MISSES`` window."""
         def detect_delay(machine):
             # Arm the recoverable window by hand (an active transaction
             # whose checkpoint matches the call depth), then inject.
@@ -377,7 +378,7 @@ class TestScaleOutRecovery:
 
         small, _ = self._scaled_machine("four", blackout_rate=1.0)
         assert small._cluster_penalty == 0
-        misses = small.recovery.config.heartbeat_misses
+        misses = HEARTBEAT_MISSES
         assert detect_delay(small) == misses
         big, _ = self._scaled_machine("mesh16", blackout_rate=1.0)
         assert big._cluster_penalty == big.config.cluster_stall_latency
