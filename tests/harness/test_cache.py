@@ -70,7 +70,7 @@ PINNED_SESSION_KEYS = [
     ("mesh16-directory-vlink-faults",
      dict(machine="mesh16-directory", config_overrides=VLINK,
           faults=FaultConfig(profile="both", seed=1)), 16, "tlp",
-     "10c6b1c1b7792074f65351eb58c3bd1ff2edef40e6d37b967c792dceca78e7a6"),
+     "aaafbba4dadc60a329e3703e36ae3c48f537d975d1f76bf5c956dcc571123d14"),
     ("queue-depth-4", dict(config_overrides={"queue_depth": 4}), 4, "llp",
      "5cad1a70e0d97569cea27096c876129b4443e877ab8f2238427eeaf7f421cf2a"),
 ]
