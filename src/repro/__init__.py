@@ -9,7 +9,9 @@ The stable entry points live in :mod:`repro.api` and are re-exported
 here: ``repro.run_cell(...)``, ``repro.run_figure(...)``,
 ``repro.list_benchmarks()``, ``repro.compile_benchmark(...)``, and
 ``repro.session(...)`` (the :class:`~repro.harness.ExperimentRunner`
-class itself: one session, one machine template).
+class itself: one session, one machine template).  Their signatures are
+the compatibility contract, and run settings (seed, cache, pool, faults,
+journal) are spelled once, on the session.
 
 Internal layers (importable, but their signatures are not the contract):
 

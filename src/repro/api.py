@@ -19,18 +19,23 @@ Profiling a run attaches an observability bus (see :mod:`repro.obs`):
     write_trace(obs, "trace.json")     # load in ui.perfetto.dev
     result.metrics["timeline"]         # reconciled per-mode summary
 
-These signatures are the compatibility contract: the one machine
-spelling is ``machine=`` everywhere -- an int core count, a preset name
+These signatures are the compatibility contract, and each keyword
+on them is one some caller sets.  The one machine spelling is
+``machine=`` everywhere -- an int core count, a preset name
 (``"mesh16"``, ``"mesh32-directory"``, see :func:`list_presets`), or a
-full :class:`~repro.arch.MachineConfig`.  ``faults=`` is canonical for
-fault configs, and serialized results carry ``schema_version`` (see
+full :class:`~repro.arch.MachineConfig` -- and serialized results
+carry ``schema_version`` (see
 :data:`repro.harness.experiments.SCHEMA_VERSION`).
 
-:func:`session` is :class:`~repro.harness.experiments.ExperimentRunner`
-itself, whose docstring lists its keywords: a session resolves
-``machine=`` and ``config_overrides=`` into one machine template, and
-simulates each core count on that template's knobs (at the template's
-own core count, on the template as given).  Sessions run their pool
+Run settings are spelled once, on the session.  :func:`session` is
+:class:`~repro.harness.experiments.ExperimentRunner` itself, whose
+docstring lists its keywords (seed, cache, pool, deadline, faults,
+journal, resume): a session resolves ``machine=`` and
+``config_overrides=`` into one machine template, and simulates each
+core count on that template's knobs (at the template's own core count,
+on the template as given).  :func:`run_cell` and :func:`run_figure`
+take only what picks their cell or figure; a figure under any other
+setting runs on ``runner=repro.session(...)``.  Sessions run their pool
 work under one liveness rule: ``cell_timeout`` seconds per cell,
 counted from the moment a worker task is submitted.  Overdue or crashed
 work is retried with exponential backoff, then re-run serially
@@ -53,7 +58,6 @@ from .arch.config import MachineSpec, list_presets, mesh, resolve_machine
 from .compiler.driver import VoltronCompiler
 from .harness import figures
 from .harness.experiments import ExperimentRunner, RunResult
-from .sim.faults import FaultConfig
 from .workloads.generator import GenKnobs, generate_handles, make_handle
 from .workloads.suite import BENCHMARKS, build
 
@@ -68,24 +72,19 @@ FIGURES = tuple(figures.FIGURES)
 session = ExperimentRunner
 
 
-def list_benchmarks(
-    *,
-    generated: int = 0,
-    gen_seed: int = 1,
-    knobs: Optional[GenKnobs] = None,
-) -> List[str]:
+def list_benchmarks(*, generated: int = 0, gen_seed: int = 1) -> List[str]:
     """Names of the benchmark suite, in canonical order.
 
     With ``generated=N`` the list additionally surfaces N generated
     workload handles (``gen:<seed>:<knobs-hash>`` for consecutive seeds
-    starting at ``gen_seed``), interchangeable with named benchmarks in
-    every ``benchmark=`` slot of this API, the CLI, and the result
-    cache.  ``knobs`` selects a custom generator configuration
-    (registered as a side effect so the returned handles resolve).
+    starting at ``gen_seed``, default knobs), interchangeable with named
+    benchmarks in every ``benchmark=`` slot of this API, the CLI, and
+    the result cache.  :func:`generate_workload` mints a handle under
+    custom knobs.
     """
     names = list(BENCHMARKS)
     if generated:
-        names.extend(generate_handles(generated, gen_seed, knobs))
+        names.extend(generate_handles(generated, gen_seed))
     return names
 
 
@@ -102,11 +101,7 @@ def generate_workload(seed: int = 1, knobs: Optional[GenKnobs] = None) -> str:
 
 
 def compile_benchmark(
-    benchmark: str,
-    machine: MachineSpec = 4,
-    strategy: str = "hybrid",
-    *,
-    seed: int = 1,
+    benchmark: str, machine: MachineSpec = 4, strategy: str = "hybrid"
 ):
     """Build one benchmark and compile it for a machine spec.
 
@@ -117,7 +112,7 @@ def compile_benchmark(
     :class:`~repro.sim.machine.VoltronMachine` directly.
     """
     config = resolve_machine(machine)
-    bench = build(benchmark, seed)
+    bench = build(benchmark)
     return VoltronCompiler(bench.program).compile(strategy, config)
 
 
@@ -126,10 +121,7 @@ def verify_benchmark(
     machine: MachineSpec = 4,
     strategy: str = "hybrid",
     *,
-    seed: int = 1,
     dynamic: bool = False,
-    suppressions: Sequence[str] = (),
-    max_cycles: int = 50_000_000,
 ):
     """Statically verify one compiled cell's communication structure.
 
@@ -143,18 +135,14 @@ def verify_benchmark(
     With ``dynamic=True`` the cell is additionally *executed* under the
     race sanitizer (shadow-memory happens-before over cross-core
     accesses); any dynamic race and any message left in a queue at halt
-    are appended to the same report.
-
-    ``suppressions`` entries name findings to tolerate, as ``kind``,
-    ``kind:function``, or ``kind:function:block``.
+    are appended to the same report.  Suppressions are ``cli verify``'s
+    (``--suppress``) or :func:`repro.analysis.verify_cell`'s.
     """
     from .analysis import verify_cell
 
     config = resolve_machine(machine)
-    compiled = compile_benchmark(benchmark, config, strategy, seed=seed)
-    report = verify_cell(
-        compiled, config, suppressions, dynamic=dynamic, max_cycles=max_cycles
-    )
+    compiled = compile_benchmark(benchmark, config, strategy)
+    report = verify_cell(compiled, config, dynamic=dynamic)
     report.benchmark = benchmark
     return report
 
@@ -164,11 +152,7 @@ def run_cell(
     machine: MachineSpec,
     strategy: str = "hybrid",
     *,
-    faults: Optional[FaultConfig] = None,
     obs=None,
-    seed: int = 1,
-    max_cycles: int = 50_000_000,
-    cache_dir: Optional[Union[str, Path]] = None,
 ) -> RunResult:
     """Simulate one (benchmark, machine, strategy) cell end to end.
 
@@ -179,20 +163,12 @@ def run_cell(
     :class:`~repro.obs.Observability` bus via ``obs=`` to profile
     the run: the result then carries ``metrics`` (sampled series plus a
     timeline summary reconciled against the machine stats), and the bus
-    itself can be exported with :func:`repro.obs.write_trace`.  Profiled
-    runs always simulate fresh -- ``cache_dir`` must stay None with
-    ``obs`` (cached results cannot carry a cycle-accurate event record).
+    itself can be exported with :func:`repro.obs.write_trace`.  The cell
+    always simulates fresh and uncached; a cell under a cache, faults or
+    another seed runs on a :func:`session`.
     """
     config = resolve_machine(machine)
-    runner = ExperimentRunner(
-        benchmarks=[benchmark],
-        machine=config,
-        seed=seed,
-        max_cycles=max_cycles,
-        cache_dir=None if obs is not None else cache_dir,
-        faults=faults,
-        obs=obs,
-    )
+    runner = ExperimentRunner(benchmarks=[benchmark], machine=config, obs=obs)
     return runner.run(benchmark, config.n_cores, strategy)
 
 
@@ -200,51 +176,25 @@ def run_figure(
     figure: str,
     *,
     benchmarks: Optional[Sequence[str]] = None,
-    machine: Optional[MachineSpec] = None,
-    seed: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    jobs: int = 1,
-    cell_timeout: Optional[float] = None,
-    faults: Optional[FaultConfig] = None,
     runner: Optional[ExperimentRunner] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
 ) -> Dict:
-    """Reproduce one paper figure; returns its data table.
+    """Reproduce one paper figure at its own core counts; returns its
+    data table.
 
-    ``figure`` is one of :data:`FIGURES`.  ``machine`` overrides the
-    figure's default core counts unless the figure fixes them (7-9, 10
-    and 11) and is the session's machine (see :func:`session`): its
-    knobs (coherence, queue policy, ...) apply to every cell, and its
-    mesh shape to the cells at its own core count.  Pass an existing
-    ``runner`` (from :func:`session`) to share builds and cache across
-    several figures -- hand the machine spec to the session in that
-    case.  ``journal=``/``resume=`` make the figure run crash-safe and
-    resumable (see :func:`session`).
+    ``figure`` is one of :data:`FIGURES`.  Without ``runner`` the figure
+    runs on a fresh default session over ``benchmarks`` (default: the
+    whole suite).  Pass an existing ``runner`` (from :func:`session`,
+    which then supplies the benchmarks) to share builds and cache across
+    several figures, or to run under a machine, seed, cache, pool,
+    faults or journal: each is a keyword of the session.
+    :func:`repro.harness.figures.figure_table` also moves a figure's
+    core counts, as ``cli figure --machine`` does.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    config = resolve_machine(machine) if machine is not None else None
     if runner is None:
-        runner = session(
-            benchmarks,
-            machine=config,
-            seed=seed,
-            cache_dir=cache_dir,
-            jobs=jobs,
-            cell_timeout=cell_timeout,
-            faults=faults,
-            journal=journal,
-            resume=resume,
-        )
-    elif config is not None and config != mesh(config.n_cores):
-        raise ValueError(
-            "this machine spec is not a standard mesh; pass machine= "
-            "to session() instead when sharing a runner across figures"
-        )
-    return figures.figure_table(
-        figure, runner, config.n_cores if config is not None else None
-    )
+        runner = session(benchmarks)
+    return figures.figure_table(figure, runner)
 
 
 def sweep(
@@ -259,7 +209,6 @@ def sweep(
     memory_latencies: Sequence[int] = (100,),
     tm_commit_latencies: Sequence[int] = (4,),
     seed: int = 1,
-    max_cycles: int = 50_000_000,
     cache_dir: Optional[Union[str, Path]] = None,
     jobs: int = 1,
     cell_timeout: Optional[float] = None,
@@ -320,7 +269,6 @@ def sweep(
     document = run_sweep(
         spec,
         seed=seed,
-        max_cycles=max_cycles,
         cache_dir=cache_dir,
         jobs=jobs,
         cell_timeout=cell_timeout,

@@ -231,14 +231,15 @@ class ExperimentRunner:
     core counts.
 
     ``journal=`` arms the crash-safe write-ahead
-    :class:`~repro.harness.journal.RunJournal`: one fsynced JSONL record
-    per cell lifecycle event, so an interrupted session resumes with
+    :class:`~repro.harness.journal.RunJournal`, a path or an open journal
+    shared with other runners: one fsynced JSONL record per cell
+    lifecycle event, so an interrupted session resumes with
     ``resume=True`` (cells with a durable ``completed`` record replay
-    from the cache, bit-identical, with zero re-simulation).
+    from the cache, bit-identical, with zero re-simulation; the prior
+    history is the journal's :attr:`~RunJournal.replay`).
     ``cell_timeout`` is the pool's one liveness deadline: seconds per
-    cell, counted from each worker task's submission.
-    ``max_abandoned`` bounds how many poisoned cells the session absorbs
-    as ``abandoned`` before raising.
+    cell, counted from each worker task's submission.  A cell whose
+    serial run fails is journaled ``abandoned`` and its error raised.
     """
 
     def __init__(
@@ -256,8 +257,6 @@ class ExperimentRunner:
         config_overrides: Optional[Dict[str, object]] = None,
         journal: Optional[Union[str, Path, RunJournal]] = None,
         resume: bool = False,
-        replay: Optional[JournalReplay] = None,
-        max_abandoned: int = 0,
     ) -> None:
         if obs is not None:
             # An Observability bus observes exactly one run, and a cached
@@ -284,10 +283,6 @@ class ExperimentRunner:
         #: abandoned and retried (None = no deadline).
         self.cell_timeout = cell_timeout
         self.fault_config = faults
-        #: How many abandoned cells a runner absorbs before the next one
-        #: re-raises (0 = the first failure propagates immediately,
-        #: after being journaled).
-        self.max_abandoned = max(0, max_abandoned)
         #: The machine template: ``machine=`` with ``config_overrides``
         #: applied.  Folded into every cache key via the config's repr.
         self.machine = apply_overrides(
@@ -302,23 +297,17 @@ class ExperimentRunner:
         self.failures = FailureSummary()
         self.cache = ResultCache(Path(cache_dir)) if cache_dir else None
         self._cache_dir = str(cache_dir) if cache_dir else None
-        #: Replay state from a prior (interrupted) journal: loaded from
-        #: the journal path under ``resume=True``, or injected directly
-        #: (the sweep driver shares one replay across its runners).
-        self._replay = replay
-        self._owns_journal = False
-        if journal is not None and not isinstance(journal, RunJournal):
-            journal_path = Path(journal)
-            if resume and self._replay is None and journal_path.exists():
-                self._replay = JournalReplay.from_path(journal_path)
-            journal = RunJournal(
-                journal_path, resume=resume and journal_path.exists()
-            )
-            self._owns_journal = True
+        self._owns_journal = journal is not None and not isinstance(
+            journal, RunJournal
+        )
+        if self._owns_journal:
+            journal = RunJournal(journal, resume=resume)
         #: Write-ahead run journal (driver-side single writer); every
         #: lifecycle record is fsynced before the run proceeds, so a
         #: SIGKILLed driver resumes from a consistent history.
         self.journal: Optional[RunJournal] = journal
+        #: Replay state from a prior (interrupted) journal.
+        self._replay = journal.replay if journal is not None else None
         #: This run's cell lifecycle: every record ``_record`` writes is
         #: applied here first, so "planned this run", attempt numbers and
         #: abandonment all read one state machine (the journal's own).
@@ -585,8 +574,8 @@ class ExperimentRunner:
         """Simulate one cell in-process and publish it to the cache (the
         cache store is fsync-durable, so the ``completed`` record that
         follows it never lies).  This is the one abandonment site: a
-        cell whose serial run fails is journaled ``abandoned``, and up to
-        ``max_abandoned`` of those are absorbed before re-raising."""
+        cell whose serial run fails is journaled ``abandoned`` before its
+        error propagates."""
         key = self._journal_key(cell)
         self._record("dispatched", cell, key, mode="serial")
         try:
@@ -599,9 +588,7 @@ class ExperimentRunner:
                 "abandoned", cell, key,
                 reason=f"{type(error).__name__}: {error}",
             )
-            if len(self.failures.abandoned) > self.max_abandoned:
-                raise
-            return
+            raise
         self._runs[cell] = result
         self._record("completed", cell, key, source="serial")
 

@@ -63,8 +63,10 @@ class RunJournal:
     """Append-only JSONL journal with one fsync per record.
 
     Open with ``resume=True`` to append to an existing journal (the
-    resume path); the default truncates, so ``--journal`` always starts
-    a fresh history.  Lifecycle records are written through
+    resume path): :attr:`replay` then holds the prior history's
+    :class:`JournalReplay`.  The default, and ``resume=True`` on a path
+    that does not exist yet, starts a fresh history and leaves
+    :attr:`replay` None.  Lifecycle records are written through
     :meth:`record` with the fields listed in the module docstring
     (``cell`` as a list, ``key``, plus ``attempt``/``mode``/``source``/
     ``reason`` as the event needs).  The per-record fsync is what makes a
@@ -81,18 +83,21 @@ class RunJournal:
         self.path = Path(path)
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume:
+        #: The prior history this journal resumes (None for a fresh one).
+        self.replay: Optional[JournalReplay] = None
+        if resume and self.path.exists():
+            self.replay = JournalReplay.from_path(self.path)
             # Appending after a torn tail (the one artifact a SIGKILL
             # mid-write can leave) would strand the new records behind
             # an unparseable line and make the whole journal
             # unreplayable -- trim the tail first.
             _trim_torn_tail(self.path)
-        self._handle = open(self.path, "a" if resume else "w")
+        self._handle = open(self.path, "w" if self.replay is None else "a")
         fsync_path(self.path.parent)
         self.record(
             "start",
             journal_version=JOURNAL_VERSION,
-            resumed=resume,
+            resumed=self.replay is not None,
             wall_time=time.time(),
             **(context or {}),
         )

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .experiments import ExperimentRunner, FailureSummary
 from .figures import speedup_grid
-from .journal import JournalReplay, RunJournal, flush_on_signals
+from .journal import RunJournal, flush_on_signals
 from .reporting import geomean
 
 #: Artifact schema: bump the major on breaking layout changes.
@@ -180,7 +180,6 @@ def run_sweep(
     spec: SweepSpec,
     *,
     seed: int = 1,
-    max_cycles: int = 50_000_000,
     cache_dir: Optional[Union[str, Path]] = None,
     jobs: int = 1,
     cell_timeout: Optional[float] = None,
@@ -224,15 +223,9 @@ def run_sweep(
         )
     ]
     run_journal: Optional[RunJournal] = None
-    replay: Optional[JournalReplay] = None
     if journal is not None:
-        journal_path = Path(journal)
-        if resume and journal_path.exists():
-            replay = JournalReplay.from_path(journal_path)
         run_journal = RunJournal(
-            journal_path,
-            resume=resume and journal_path.exists(),
-            context={"driver": "sweep"},
+            journal, resume=resume, context={"driver": "sweep"}
         )
     points: List[SweepPoint] = []
     cache = {"hits": 0, "misses": 0, "quarantined": 0}
@@ -245,13 +238,11 @@ def run_sweep(
                 runner = ExperimentRunner(
                     benchmarks=list(spec.workloads),
                     seed=seed,
-                    max_cycles=max_cycles,
                     cache_dir=cache_dir,
                     jobs=jobs,
                     cell_timeout=cell_timeout,
                     config_overrides=overrides,
                     journal=run_journal,
-                    replay=replay,
                 )
                 grid = speedup_grid(runner, spec.cores, spec.strategies)
                 for n_cores in spec.cores:
@@ -309,7 +300,7 @@ def run_sweep(
     if run_journal is not None:
         document["journal"] = {
             "path": str(run_journal.path),
-            "resumed": bool(replay is not None),
+            "resumed": run_journal.replay is not None,
             **journal_stats,
         }
     return document

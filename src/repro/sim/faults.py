@@ -262,8 +262,6 @@ class FaultPlan:
         )
         for channel in self._channels:
             setattr(self, "_" + channel.event, channel)
-        #: True when the timing channel family is armed.
-        self.timing = armed["timing"]
         #: True when any destructive channel is armed: the machine then
         #: builds a :class:`~repro.sim.recovery.RecoveryManager` and the
         #: operand network stamps CRCs onto outgoing messages.

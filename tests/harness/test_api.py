@@ -20,6 +20,7 @@ import repro
 from repro import api
 from repro.harness import figures
 from repro.harness.cli import main as cli_main
+from repro.harness.sweep import run_sweep
 from repro.harness.experiments import (
     ExperimentRunner,
     RunResult,
@@ -32,9 +33,7 @@ from repro.workloads.suite import BENCHMARKS
 
 @pytest.fixture(scope="module")
 def baseline_payload():
-    result = repro.run_cell(
-        "rawcaudio", 1, "baseline", max_cycles=20_000_000
-    )
+    result = repro.run_cell("rawcaudio", 1, "baseline")
     return result.to_dict()
 
 
@@ -66,9 +65,7 @@ class TestFacade:
 
     def test_run_cell_with_obs_attaches_metrics(self):
         obs = Observability()
-        result = repro.run_cell(
-            "rawcaudio", 2, "ilp", obs=obs, max_cycles=20_000_000
-        )
+        result = repro.run_cell("rawcaudio", 2, "ilp", obs=obs)
         assert result.metrics is not None
         assert set(result.metrics) == {"series", "timeline", "truncated"}
         assert result.metrics["timeline"]["cycles"] == result.cycles
@@ -107,9 +104,39 @@ class TestSchemaVersion:
         assert RunResult.from_dict(payload).correct
 
 
+#: Keywords the facade and the runner no longer take: run settings are
+#: spelled once, on the session.
+REMOVED_KEYWORDS = [
+    *((api.run_figure, ("13",), keyword) for keyword in (
+        "machine", "seed", "cache_dir", "jobs", "cell_timeout", "faults",
+        "journal", "resume",
+    )),
+    *((api.run_cell, ("rawcaudio", 1), keyword) for keyword in (
+        "faults", "seed", "max_cycles", "cache_dir",
+    )),
+    *((api.verify_benchmark, ("rawcaudio",), keyword) for keyword in (
+        "seed", "suppressions", "max_cycles",
+    )),
+    (api.compile_benchmark, ("rawcaudio",), "seed"),
+    (api.list_benchmarks, (), "knobs"),
+    (api.sweep, (["rawcaudio"],), "max_cycles"),
+    (run_sweep, (None,), "max_cycles"),
+    (ExperimentRunner, ([],), "max_abandoned"),
+    (ExperimentRunner, ([],), "replay"),
+]
+
+
 class TestRemovedSpellings:
     """The deprecated kwarg aliases are gone: nothing special-cases them
     anymore, so they fail as plain unknown keywords (native TypeError)."""
+
+    @pytest.mark.parametrize(
+        "function, args, keyword", REMOVED_KEYWORDS,
+        ids=[f"{f.__name__}-{k}" for f, _, k in REMOVED_KEYWORDS],
+    )
+    def test_removed_keywords_are_rejected(self, function, args, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            function(*args, **{keyword: None})
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="bogus"):

@@ -148,25 +148,19 @@ class TestAbandonedEscalation:
         assert "abandoned" in replay.states.values()
         assert runner.failures.abandoned == ["rawcaudio[1-baseline]"]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_max_abandoned_lets_the_grid_finish_around_poison(
-        self, tmp_path, jobs
-    ):
-        # jobs=1 takes the serial prefetch path; jobs=2 with a crashing
-        # pool takes the degraded path.  Both honour max_abandoned.
-        runner = _runner(tmp_path, jobs=jobs, max_abandoned=1)
+    def test_degraded_abandoned_cell_raises(self, tmp_path):
+        # A crashing pool sends both cells to the serial fallback, which
+        # journals the poisoned one abandoned and raises its error.
+        runner = _runner(tmp_path, jobs=2)
         runner._worker_fn = _crash_worker
         self._poison(runner, "rawcaudio")
-        runner.prefetch(CELLS)  # no exception: one abandonment absorbed
+        with pytest.raises(RuntimeError, match="poisoned"):
+            runner.prefetch(CELLS)
         runner.close_journal()
-        assert ("gsmdecode", 1, "baseline") in runner._runs
-        assert ("rawcaudio", 1, "baseline") not in runner._runs
-        assert runner.journal_stats["abandoned"] == 1
         replay = JournalReplay.from_path(tmp_path / "run.jnl")
-        assert replay.balanced()
         assert replay.accounting()["abandoned"] == 1
-        line = render_failure_line(runner)
-        assert "abandoned" in line
+        assert runner.failures.abandoned == ["rawcaudio[1-baseline]"]
+        assert runner.failures.worker_crashes == 1
 
 
 class TestQuarantineResumeInterplay:

@@ -73,6 +73,24 @@ class TestRunJournal:
             pass
         assert _events(path) == ["start"]
 
+    def test_resume_exposes_the_prior_history(self, tmp_path):
+        path = tmp_path / "run.jnl"
+        with RunJournal(path, resume=True) as journal:
+            # Nothing to resume: a fresh history.
+            assert journal.replay is None
+            journal.record(
+                "completed", cell=list(CELL), key="k1", source="serial",
+                attempt=1,
+            )
+        assert read_journal(path)[0]["resumed"] is False
+        with RunJournal(path, resume=True) as journal:
+            assert journal.replay.is_completed("k1")
+            # A snapshot of the prior history, not a live view.
+            journal.record("planned", cell=["x", 1, "baseline"], key="k2")
+            assert journal.replay.states == {"k1": "completed"}
+        with RunJournal(path) as journal:
+            assert journal.replay is None
+
     def test_writes_after_close_are_dropped(self, tmp_path):
         path = tmp_path / "run.jnl"
         journal = RunJournal(path)
@@ -156,11 +174,12 @@ class TestReadJournal:
         lines.insert(1, '{"torn":')
         path.write_text("\n".join(lines) + "\n")
         before = path.read_text()
-        with RunJournal(path, resume=True) as journal:
-            pass
         # Not repaired (out-of-order durability is not ours to hide):
-        # the original lines survive and read_journal still rejects it.
-        assert path.read_text().startswith(before)
+        # the resume refuses the history it cannot replay, and the
+        # original lines survive untouched.
+        with pytest.raises(ValueError, match="not the final line"):
+            RunJournal(path, resume=True)
+        assert path.read_text() == before
         with pytest.raises(ValueError, match="not the final line"):
             read_journal(path)
 

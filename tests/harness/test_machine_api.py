@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro import api
 from repro.arch.config import mesh, preset
-from repro.harness import cli, experiments
+from repro.harness import cli, experiments, figures
 
 
 class TestMachineKwarg:
@@ -34,17 +34,13 @@ class TestMachineKwarg:
         with pytest.raises(TypeError, match="machine"):
             api.run_cell("rawcaudio")
 
-    def test_machine_accepts_preset_names(self, tmp_path):
-        result = api.run_cell(
-            "rawcaudio", "two-directory", strategy="ilp", cache_dir=tmp_path
-        )
+    def test_machine_accepts_preset_names(self):
+        result = api.run_cell("rawcaudio", "two-directory", strategy="ilp")
         assert result.correct
         assert result.n_cores == 2
 
-    def test_machine_accepts_full_configs(self, tmp_path):
-        result = api.run_cell(
-            "rawcaudio", preset("two"), strategy="ilp", cache_dir=tmp_path
-        )
+    def test_machine_accepts_full_configs(self):
+        result = api.run_cell("rawcaudio", preset("two"), strategy="ilp")
         assert result.correct
 
     def test_compile_benchmark_defaults_to_four_cores(self):
@@ -107,14 +103,11 @@ class TestCustomMeshShape:
         assert runner.machine_config(4) == mesh(4)
 
     def test_run_figure_simulates_the_shape_at_its_own_count(self, shapes):
-        api.run_figure("13", benchmarks=["rawcaudio"], machine=self.ODD)
+        # A figure moved to the machine's core count, as ``cli figure
+        # --machine`` runs it.
+        runner = api.session(["rawcaudio"], machine=self.ODD)
+        figures.figure_table("13", runner, self.ODD.n_cores)
         assert shapes == {16: (2, 8), 1: (1, 1)}
-
-    def test_run_figure_rejects_the_shape_for_a_shared_runner(self):
-        with pytest.raises(ValueError, match="session"):
-            api.run_figure(
-                "13", machine=self.ODD, runner=api.session(["rawcaudio"])
-            )
 
     def test_run_cell_keeps_the_shape(self, shapes):
         assert api.run_cell("rawcaudio", self.ODD, "ilp").correct

@@ -131,9 +131,7 @@ class TestRunSweep:
             queue_depths=(4, 16),
             memory_latencies=(50, 200),
         )
-        document = run_sweep(
-            spec, max_cycles=2_000_000, cache_dir=tmp_path / "cache"
-        )
+        document = run_sweep(spec, cache_dir=tmp_path / "cache")
         assert document["schema_version"] == "1.2"
         assert document["varied_axes"] == [
             "cores",
@@ -167,9 +165,7 @@ class TestRunSweep:
         assert len(set(by_machine.values())) > 1
 
         # Re-sweep against the same cache: zero new simulations.
-        again = run_sweep(
-            spec, max_cycles=2_000_000, cache_dir=tmp_path / "cache"
-        )
+        again = run_sweep(spec, cache_dir=tmp_path / "cache")
         assert again["cache"]["misses"] == 0
         assert again["cache"]["hits"] > 0
         assert again["points"] == document["points"]
@@ -180,9 +176,7 @@ class TestRunSweep:
             strategies=("hybrid",),
             cores=(2,),
         )
-        document = run_sweep(
-            spec, max_cycles=2_000_000, cache_dir=tmp_path / "cache"
-        )
+        document = run_sweep(spec, cache_dir=tmp_path / "cache")
         path = write_sweep(document, tmp_path / "out" / "sweep.json")
         assert path.exists()
         assert json.loads(path.read_text()) == document

@@ -23,9 +23,7 @@ SAMPLE = ["gsmdecode", "179.art", "171.swim", "epic", "rawcaudio"]
 @pytest.mark.parametrize("bench_name", SAMPLE)
 def test_timeline_reconciles_exactly(bench_name):
     obs = Observability()
-    result = repro.run_cell(
-        bench_name, 4, "hybrid", obs=obs, max_cycles=20_000_000
-    )
+    result = repro.run_cell(bench_name, 4, "hybrid", obs=obs)
     summary = reconcile(summarize(obs), result.stats)
     assert summary.cycles == result.stats.cycles
     for mode in ("coupled", "decoupled"):
@@ -41,9 +39,7 @@ def test_timeline_reconciles_exactly(bench_name):
 
 def test_reconcile_raises_on_tampered_span():
     obs = Observability()
-    result = repro.run_cell(
-        "rawcaudio", 2, "ilp", obs=obs, max_cycles=20_000_000
-    )
+    result = repro.run_cell("rawcaudio", 2, "ilp", obs=obs)
     for spans in obs.stall_spans:
         if spans:
             spans[0][1] += 1
@@ -56,9 +52,7 @@ def test_reconcile_raises_on_tampered_span():
 
 def test_reconcile_raises_on_wrong_cycle_total():
     obs = Observability()
-    result = repro.run_cell(
-        "rawcaudio", 2, "ilp", obs=obs, max_cycles=20_000_000
-    )
+    result = repro.run_cell("rawcaudio", 2, "ilp", obs=obs)
     summary = summarize(obs)
     summary.cycles += 1
     with pytest.raises(ReconciliationError, match="cycles"):

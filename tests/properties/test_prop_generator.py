@@ -33,7 +33,7 @@ import os
 import pytest
 
 from repro.analysis import check_benchmark
-from repro.harness.journal import JournalReplay, RunJournal
+from repro.harness.journal import RunJournal
 from repro.workloads.generator import (
     GenKnobs,
     build_recipe,
@@ -55,14 +55,13 @@ GEN_JOURNAL = os.environ.get("GEN_JOURNAL")
 _JOURNAL = None
 _REPLAY = None
 if GEN_JOURNAL:
-    if os.path.exists(GEN_JOURNAL):
-        _REPLAY = JournalReplay.from_path(GEN_JOURNAL)
     _JOURNAL = RunJournal(
         GEN_JOURNAL,
-        resume=os.path.exists(GEN_JOURNAL),
+        resume=True,
         context={"driver": "fuzz", "gen_seed": GEN_SEED,
                  "gen_count": GEN_COUNT},
     )
+    _REPLAY = _JOURNAL.replay
     atexit.register(_JOURNAL.close)
 
 #: Fuzz knobs: the default design-space axes with trip counts trimmed so

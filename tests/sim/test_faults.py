@@ -154,7 +154,7 @@ class TestProfiles:
                 blackout_rate=1.0,
             )
         )
-        assert plan.timing and not plan.destructive
+        assert not plan.destructive
         assert all(plan.xmit_outcome() is None for _ in range(500))
         assert all(plan.blackout_cycles() == 0 for _ in range(500))
 
@@ -165,7 +165,7 @@ class TestProfiles:
                 corrupt_rate=1.0,
             )
         )
-        assert plan.destructive and not plan.timing
+        assert plan.destructive
         assert all(plan.mem_delay() == 0 for _ in range(500))
         assert not any(plan.spurious_conflict() for _ in range(500))
         assert plan.xmit_outcome() is not None
@@ -177,7 +177,7 @@ class TestProfiles:
                 blackout_rate=1.0,
             )
         )
-        assert plan.timing and plan.destructive
+        assert plan.destructive
         assert plan.mem_delay() >= 1
         assert plan.xmit_outcome() is not None
         assert plan.blackout_cycles() >= 1
