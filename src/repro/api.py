@@ -135,8 +135,9 @@ def verify_benchmark(
     With ``dynamic=True`` the cell is additionally *executed* under the
     race sanitizer (shadow-memory happens-before over cross-core
     accesses); any dynamic race and any message left in a queue at halt
-    are appended to the same report.  Suppressions are ``cli verify``'s
-    (``--suppress``) or :func:`repro.analysis.verify_cell`'s.
+    are appended to the same report.  To tolerate findings, use ``cli
+    verify --suppress`` or :func:`repro.analysis.verify_cell`'s
+    ``suppressions``.
     """
     from .analysis import verify_cell
 

@@ -20,12 +20,12 @@ import repro
 from repro import api
 from repro.harness import figures
 from repro.harness.cli import main as cli_main
-from repro.harness.sweep import run_sweep
 from repro.harness.experiments import (
     ExperimentRunner,
     RunResult,
     SCHEMA_VERSION,
 )
+from repro.harness.sweep import run_sweep
 from repro.obs import Observability
 from repro.sim.faults import FaultConfig
 from repro.workloads.suite import BENCHMARKS

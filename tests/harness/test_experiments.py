@@ -161,6 +161,7 @@ class TestAbandonedEscalation:
         assert replay.accounting()["abandoned"] == 1
         assert runner.failures.abandoned == ["rawcaudio[1-baseline]"]
         assert runner.failures.worker_crashes == 1
+        assert "abandoned" in render_failure_line(runner)
 
 
 class TestQuarantineResumeInterplay:
