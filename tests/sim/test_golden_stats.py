@@ -61,7 +61,11 @@ def _vlink(name: str):
 #: waits, call and mode barriers and halted members (epic hybrid on 64
 #: snooping cores), and one I-fetch per slot plus transient stall-bus
 #: holds (rawcaudio hybrid on 16 directory cores with Virtual-Link
-#: queues under timing faults).  Each golden holds the stats, a digest
+#: queues under timing faults).  The last pins the clustered stall bus
+#: together with the recovery layer's direct ``next_free`` writes
+#: (swim llp on 16 directory cores with Virtual-Link queues under
+#: destructive faults: CRC errors, drops, blackouts and remaps).
+#: Each golden holds the stats, a digest
 #: of the final memory image and, under faults, the fault schedule.
 #: (golden file stem, benchmark, machine, strategy, fault config)
 MACHINE_CASES = [
@@ -75,6 +79,10 @@ MACHINE_CASES = [
     ("rawcaudio_mesh16-directory-vlink_hybrid_faults-timing-1", "rawcaudio",
      _vlink("mesh16-directory"), "hybrid",
      FaultConfig(profile="timing", seed=1)),
+    ("171.swim_mesh16-directory-vlink_llp_faults-destructive-42", "171.swim",
+     _vlink("mesh16-directory"), "llp",
+     FaultConfig(profile="destructive", seed=42, corrupt_rate=0.05,
+                 drop_rate=0.05, blackout_rate=0.0005)),
 ]
 
 #: ``L1ICache.access`` calls per golden cell.  The stats cannot show
@@ -87,6 +95,7 @@ ICACHE_ACCESSES = {
     "171.swim_4cores_llp_faults-both-1": 25894,
     "epic_mesh64-snoop_hybrid": 7937,
     "rawcaudio_mesh16-directory-vlink_hybrid_faults-timing-1": 77792,
+    "171.swim_mesh16-directory-vlink_llp_faults-destructive-42": 20790,
     "rawcaudio_1cores_baseline": 1060,
     "gsmdecode_2cores_ilp": 2508,
     "g721decode_4cores_tlp": 3659,
