@@ -11,6 +11,7 @@ import time
 from repro import api
 from repro.harness import arithmean
 from repro.harness.sweep import SWEEP_SCHEMA_VERSION
+from repro.sim import FaultConfig
 
 PAPER_FIG10 = {"ilp": 1.23, "tlp": 1.16, "llp": 1.18}
 PAPER_FIG11 = {"ilp": 1.33, "tlp": 1.23, "llp": 1.37}
@@ -369,21 +370,38 @@ def main(path="EXPERIMENTS.md"):
         "spelling, composable with `--queue-policy vlink`.\n"
     )
     out.append(
-        "Measured recovery counters, one destructive run per cell "
-        "(`171.swim`, strategy `llp`, vlink queues, seed 42, "
-        "`corrupt_rate=0.05 drop_rate=0.05 blackout_rate=0.0005`), every "
-        "cell bit-identical to its fault-free golden:\n"
+        "Measured recovery counters, one destructive run of `171.swim` "
+        "under `llp` per machine, recomputed by this script: "
+        "`repro.session([\"171.swim\"], machine=<machine>, "
+        "config_overrides={\"queue_policy\": \"vlink\"}, "
+        "faults=FaultConfig(profile=\"destructive\", seed=42, "
+        "corrupt_rate=0.05, drop_rate=0.05, blackout_rate=0.0005))"
+        ".run(\"171.swim\", <cores>, \"llp\")` (the session's default "
+        "seed 1 builds the inputs), read from `stats.recovery`; every "
+        "cell is checked against the reference interpreter:\n"
     )
-    out.append(
-        "| machine | crc_errors | drops | retransmits | blackouts | watchdog | rollbacks | remaps | dir_scrubs | vlink_reclaims |\n"
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
-        "| mesh16-snoop | 8 | 7 | 15 | 18 | 18 | 18 | 16 | 0 | 15 |\n"
-        "| mesh16-directory | 8 | 7 | 15 | 17 | 17 | 17 | 15 | 17 | 15 |\n"
-        "| mesh32-snoop | 15 | 15 | 30 | 27 | 27 | 27 | 21 | 0 | 29 |\n"
-        "| mesh32-directory | 15 | 15 | 30 | 20 | 20 | 20 | 17 | 20 | 29 |\n"
-        "| mesh64-snoop | 33 | 35 | 68 | 40 | 40 | 40 | 32 | 0 | 55 |\n"
-        "| mesh64-directory | 33 | 35 | 68 | 59 | 59 | 59 | 44 | 59 | 59 |\n"
+    faults = FaultConfig(
+        profile="destructive", seed=42, corrupt_rate=0.05, drop_rate=0.05,
+        blackout_rate=0.0005,
     )
+    rows = []
+    for cores in (16, 32, 64):
+        for coherence in ("snoop", "directory"):
+            machine = f"mesh{cores}-{coherence}"
+            recovery = api.session(
+                ["171.swim"], machine=machine,
+                config_overrides={"queue_policy": "vlink"}, faults=faults,
+            ).run("171.swim", cores, "llp").stats.recovery
+            rows.append((machine, *(recovery[key] for key in (
+                "crc_errors", "drops", "retransmits", "blackouts",
+                "watchdog_detections", "chunk_rollbacks", "chunks_remapped",
+                "directory_scrubs", "vlink_reclaims",
+            ))))
+    out.append(md_table(
+        ["machine", "crc_errors", "drops", "retransmits", "blackouts",
+         "watchdog", "rollbacks", "remaps", "dir_scrubs", "vlink_reclaims"],
+        rows,
+    ) + "\n")
     out.append(
         "The invariant columns read straight off the table: `retransmits "
         "= crc_errors + drops` (every link-layer fire retransmitted "

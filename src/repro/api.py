@@ -185,14 +185,20 @@ def run_figure(
     ``figure`` is one of :data:`FIGURES`.  Without ``runner`` the figure
     runs on a fresh default session over ``benchmarks`` (default: the
     whole suite).  Pass an existing ``runner`` (from :func:`session`,
-    which then supplies the benchmarks) to share builds and cache across
-    several figures, or to run under a machine, seed, cache, pool,
-    faults or journal: each is a keyword of the session.
+    which then supplies the benchmarks: passing ``benchmarks`` too
+    raises ``ValueError``) to share builds and cache across several
+    figures, or to run under a machine, seed, cache, pool, faults or
+    journal: each is a keyword of the session.
     :func:`repro.harness.figures.figure_table` also moves a figure's
     core counts, as ``cli figure --machine`` does.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    if runner is not None and benchmarks is not None:
+        raise ValueError(
+            "run_figure takes benchmarks= or runner=, not both: a runner "
+            "runs its own session's benchmarks"
+        )
     if runner is None:
         runner = session(benchmarks)
     return figures.figure_table(figure, runner)

@@ -10,6 +10,7 @@ from the sender to the receiver".
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 DIRECTIONS = ("east", "west", "north", "south")
@@ -30,7 +31,13 @@ def opposite(direction: str) -> str:
 
 
 class Mesh:
-    """Core placement and routing on a rows x cols grid."""
+    """Core placement and routing on a rows x cols grid.
+
+    The hot lookups are tables built once per shape and shared by every
+    mesh of that shape (nothing writes them): ``links`` maps ``(core,
+    direction)`` to the core one hop away, for every hop on the mesh,
+    and ``hop_table`` maps ``(src, dst)`` to their Manhattan distance.
+    """
 
     def __init__(self, rows: int, cols: int, n_cores: int) -> None:
         if rows * cols < n_cores:
@@ -38,6 +45,7 @@ class Mesh:
         self.rows = rows
         self.cols = cols
         self.n_cores = n_cores
+        self.links, self.hop_table = _tables(rows, cols, n_cores)
 
     def position(self, core: int) -> Tuple[int, int]:
         self._check(core)
@@ -50,14 +58,10 @@ class Mesh:
 
     def neighbor(self, core: int, direction: str) -> int:
         """Core one hop away in ``direction``; raises if off the mesh."""
-        row, col = self.position(core)
-        d_row, d_col = _DELTAS[direction]
-        new_row, new_col = row + d_row, col + d_col
-        if not (0 <= new_row < self.rows and 0 <= new_col < self.cols):
-            raise ValueError(f"no neighbor {direction} of core {core}")
-        neighbor = new_row * self.cols + new_col
-        if neighbor >= self.n_cores:
-            raise ValueError(f"no core {direction} of core {core}")
+        neighbor = self.links.get((core, direction))
+        if neighbor is None:
+            self._check(core)
+            _hop(self.rows, self.cols, self.n_cores, core, direction)  # raises
         return neighbor
 
     def neighbors(self, core: int) -> Dict[str, int]:
@@ -71,8 +75,11 @@ class Mesh:
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan distance between two cores."""
-        (r1, c1), (r2, c2) = self.position(src), self.position(dst)
-        return abs(r1 - r2) + abs(c1 - c2)
+        hops = self.hop_table.get((src, dst))
+        if hops is None:
+            self._check(src)
+            self._check(dst)
+        return hops
 
     def route(self, src: int, dst: int) -> List[int]:
         """Dimension-order route: XY (column first), falling back to YX
@@ -136,3 +143,38 @@ class Mesh:
     def _check(self, core: int) -> None:
         if not 0 <= core < self.n_cores:
             raise ValueError(f"core {core} out of range (n={self.n_cores})")
+
+
+def _hop(rows: int, cols: int, n_cores: int, core: int, direction: str) -> int:
+    """The core one hop from ``core`` in ``direction``; raises if off the mesh."""
+    row, col = divmod(core, cols)
+    d_row, d_col = _DELTAS[direction]
+    new_row, new_col = row + d_row, col + d_col
+    if not (0 <= new_row < rows and 0 <= new_col < cols):
+        raise ValueError(f"no neighbor {direction} of core {core}")
+    neighbor = new_row * cols + new_col
+    if neighbor >= n_cores:
+        raise ValueError(f"no core {direction} of core {core}")
+    return neighbor
+
+
+@lru_cache(maxsize=None)
+def _tables(
+    rows: int, cols: int, n_cores: int
+) -> Tuple[Dict[Tuple[int, str], int], Dict[Tuple[int, int], int]]:
+    """``(links, hop_table)`` of a rows x cols mesh of ``n_cores`` cores
+    (see :class:`Mesh`), computed once per shape."""
+    links = {}
+    for core in range(n_cores):
+        for direction in DIRECTIONS:
+            try:
+                links[core, direction] = _hop(rows, cols, n_cores, core, direction)
+            except ValueError:
+                continue
+    places = [divmod(core, cols) for core in range(n_cores)]
+    hop_table = {
+        (src, dst): abs(r1 - r2) + abs(c1 - c2)
+        for src, (r1, c1) in enumerate(places)
+        for dst, (r2, c2) in enumerate(places)
+    }
+    return links, hop_table

@@ -136,9 +136,8 @@ class BugPartitioner:
         return best_core
 
     def _comm_latency(self, src_core: int, dst_core: int) -> float:
-        hops = self.mesh.hops(
-            src_core % self.mesh.n_cores, dst_core % self.mesh.n_cores
-        )
+        n_cores = self.mesh.n_cores
+        hops = self.mesh.hop_table[src_core % n_cores, dst_core % n_cores]
         return self.comm_cost_fixed + hops * self.comm_cost_per_hop
 
     def _completion(

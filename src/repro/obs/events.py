@@ -215,9 +215,10 @@ class Observability:
         """Per-cycle hook from the machine's run loop (stepped cycles
         only; fast-forwarded windows arrive via :meth:`fast_forward_window`)."""
         if cycle % self.config.sample_stride == 0:
-            # Sleeping decoupled cores are credited lazily: bring their
-            # stall counters up to this cycle before reading them.
-            self.machine.awake.settle(cycle + 1)
+            # Sleeping decoupled cores and the coupled ensemble's busy
+            # cycles are credited lazily: bring the counters up to this
+            # cycle before reading them.
+            self.machine.settle(cycle + 1)
             self.series.sample(self.machine, cycle)
 
     def mode_switch(self, cycle: int, old: str, new: str) -> None:

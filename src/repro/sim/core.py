@@ -65,12 +65,28 @@ class TxCheckpoint:
     call_depth: int = 0
 
 
+class StallWatermark:
+    """The latest cycle any core of one machine is held until.  Every
+    write of a :attr:`Core.next_free` raises it, so from ``until`` on no
+    core is blocked (the coupled kernel's stall bus skips its walk)."""
+
+    __slots__ = ("until",)
+
+    def __init__(self) -> None:
+        self.until = 0
+
+
 class Core:
     """One Voltron core's state."""
 
-    def __init__(self, core_id: int, layout: RegisterLayout) -> None:
+    def __init__(
+        self, core_id: int, layout: RegisterLayout,
+        watermark: Optional[StallWatermark] = None,
+    ) -> None:
         self.id = core_id
         self.layout = layout
+        # Shared by every core of a machine (see StallWatermark).
+        self.watermark = StallWatermark() if watermark is None else watermark
         # Register values and scoreboard ready cycles, by flat index.
         self.values: List[Value] = [UNSET] * layout.n_regs + layout.constants[::-1]
         self.reg_ready: List[int] = [UNWRITTEN] * layout.n_regs + [0] * len(layout.constants)
@@ -207,8 +223,16 @@ class Core:
     def block_until(self, cycle: int, cause: str) -> None:
         """Block the pipeline until ``cycle`` (exclusive), e.g. a cache miss."""
         if cycle > self.next_free:
-            self.next_free = cycle
-            self.pending_cause = cause
+            self.hold(cycle, cause)
+
+    def hold(self, cycle: int, cause: str) -> None:
+        """Hold the pipeline until exactly ``cycle``, even if that is
+        sooner than the hold in place (the one way ``next_free`` is set)."""
+        self.next_free = cycle
+        self.pending_cause = cause
+        watermark = self.watermark
+        if cycle > watermark.until:
+            watermark.until = cycle
 
     # -- transactions ----------------------------------------------------------------
 

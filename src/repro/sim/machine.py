@@ -44,9 +44,13 @@ statistic (``tests/properties/test_prop_fastpath.py`` holds them to the
   line-start cores only (on every running core after a block entry or
   a return, and on every slot under a fault plan, whose I-fetch channel
   fires per fetch), probes the scoreboard and issues over the real ops
-  only, and credits the padded cores undecoded.  Alignment is checked
+  only, and never touches a padded core.  Alignment is checked
   only after a redirect, a block boundary, a barrier release, a mode
-  change or a recovery.
+  change or a recovery.  The ensemble's ``busy`` is counted once per
+  issued cycle and credited to every member when the running set
+  changes (or at ``settle``), and the stall bus is walked only while
+  some core may be held (a :class:`StallWatermark` every ``next_free``
+  write raises) or a cluster penalty flag may be left to clear.
 * **The awake set.**  Decoupled mode steps only the cores that can act
   (:class:`AwakeSet`).  A core charged a stall its next cycles repeat
   sleeps -- at a barrier, in a ``next_free`` hold, listening, or on a
@@ -80,7 +84,10 @@ from ..isa.operations import (
 )
 from ..isa.registers import RegisterLayout, Value
 from .caches import L1ICache, make_coherence
-from .core import BARRIER_WAIT, HALTED, LISTENING, RUNNING, UNWRITTEN, AwakeSet, Core
+from .core import (
+    BARRIER_WAIT, HALTED, LISTENING, RUNNING, UNWRITTEN, AwakeSet, Core,
+    StallWatermark,
+)
 from .faults import FaultPlan
 from .memory import MainMemory
 from .network import OperandNetwork
@@ -173,7 +180,10 @@ class VoltronMachine:
         self._memory_latency = config.memory_latency
         self._predecode()
 
-        self.cores = [Core(i, self.layout) for i in range(config.n_cores)]
+        self.watermark = StallWatermark()  # see _step_group
+        self.cores = [
+            Core(i, self.layout, self.watermark) for i in range(config.n_cores)
+        ]
         self.awake = AwakeSet(self.cores)  # decoupled mode steps these
         self.stats = MachineStats(n_cores=config.n_cores)
         main_params = self._formals[compiled.program.entry]
@@ -222,6 +232,13 @@ class VoltronMachine:
         self._frames: List = []
         self._block_columns: tuple = ()
         self._column_cache: Dict[tuple, tuple] = {}
+        # Coupled cycles issued by ``_running`` not yet credited to its
+        # cores' ``busy`` (see settle).
+        self._issued = 0
+        # True once a stall-bus walk of ``_running`` found every core free
+        # (every ``Core.penalized`` clear), until the next walk that finds
+        # one blocked or the next rebuild of ``_running``.
+        self._bus_clear = False
         # Set wherever positions may diverge (a redirect, a block end, a
         # barrier release, a mode change, a recovery); see _step_group.
         self._positions_moved = True
@@ -375,7 +392,7 @@ class VoltronMachine:
         finally:
             # Flush even when OutOfCycles/Deadlock propagates, so the
             # stats reflect every completed cycle.
-            self.awake.settle(self.cycle)
+            self.settle(self.cycle)
             if mode_count:
                 mode_cycles[self.mode] += mode_count
             if block_count:
@@ -395,6 +412,21 @@ class VoltronMachine:
         if self.on_finalize is not None:
             self.on_finalize(self)
         return self.stats
+
+    def settle(self, end: int) -> None:
+        """Bring every core's ``busy`` and stall counters up to ``end``:
+        credit what decoupled sleepers owe (:meth:`AwakeSet.settle`) and
+        the coupled cycles the running ensemble issued, which
+        ``_step_group`` counts once per cycle instead of per core."""
+        self.awake.settle(end)
+        self._credit_issued()
+
+    def _credit_issued(self) -> None:
+        issued = self._issued
+        if issued:
+            self._issued = 0
+            for core in self._running:
+                core.stats.busy += issued
 
     def final_memory(self) -> Dict[int, Value]:
         return self.memory.as_dict()
@@ -550,7 +582,7 @@ class VoltronMachine:
             if core.next_free > cycle:
                 if penalty and not core.penalized:
                     core.penalized = True
-                    core.next_free += penalty
+                    core.block_until(core.next_free + penalty, core.pending_cause)
                 if first is None:
                     first = core
                     if not penalty:
@@ -559,6 +591,7 @@ class VoltronMachine:
                 core.penalized = False
         if first is None:
             return None
+        self._bus_clear = False
         cause = first.pending_cause or "latency"
         return [
             (core, (core.pending_cause or "latency")
@@ -572,7 +605,9 @@ class VoltronMachine:
         cycle = self.cycle
         moved = self._positions_moved
         if moved:
+            self._credit_issued()
             self._running = [core for core in self.cores if core.status == RUNNING]
+            self._bus_clear = False  # a core may rejoin still penalized
         running = self._running
         if not running:
             return False
@@ -585,20 +620,22 @@ class VoltronMachine:
                 for core in running:
                     core.block_until(cycle + hold, "latency")
 
-        stalls = self._stall_bus(running, cycle)
-        if stalls is not None:
-            for core, category in stalls:
-                core.stats.stall(category)
-            return False
+        # The stall bus: walked unless the last walk found every core free
+        # and clear of its penalty and no core has been held past now.
+        if not self._bus_clear or cycle < self.watermark.until:
+            stalls = self._stall_bus(running, cycle)
+            if stalls is not None:
+                for core, category in stalls:
+                    core.stats.stall(category)
+                return False
+            self._bus_clear = True
 
         if moved:
             # Zero-length blocks (pure structure) fall through without
             # cost; only a redirect can leave a core at a block end.
+            # (Falling through changes no core's status.)
             for core in running:
                 self._finish_block(core)
-            running = self._running = [c for c in running if c.status == RUNNING]
-            if not running:
-                return False
             # The lock-step check a data-dependent branch leaves dynamic.
             self._frames = frames = [core.frame for core in running]
             lead = frames[0]
@@ -615,7 +652,7 @@ class VoltronMachine:
             self._block_columns = columns
             self._positions_moved = False
         slot = self._frames[0].slot
-        fetch, wires, ops, pads, probes = self._block_columns[slot]
+        fetch, wires, ops, probes = self._block_columns[slot]
 
         # Fetch: an I-miss on any core stalls all.  Past a block entry or
         # a return, only the cores whose line starts here can fetch.
@@ -649,8 +686,6 @@ class VoltronMachine:
                 core.stall(cycle, "latency", release)
             return False
 
-        for stats in pads:
-            stats.busy += 1
         on_issue = self.on_issue
         # Issue phase A drives the direct wires; phase B (everything
         # else) reads them.
@@ -659,10 +694,11 @@ class VoltronMachine:
             for core, stats, op, handler, srcs, dest in phase:
                 if handler(self, core, op, srcs, dest) != "ok":
                     redirected.append(core)
-                stats.busy += 1
                 stats.ops_executed += 1
                 if on_issue is not None:
                     on_issue(cycle, core.id, op)
+        # Every member issued (an op or a NOP pad): busy, credited in bulk.
+        self._issued += 1
 
         # Retire the slot: every core that was not redirected moves on.
         if not redirected and slot + 1 < len(self._block_columns):
@@ -678,11 +714,11 @@ class VoltronMachine:
 
     def _columns(self, running: List[Core]) -> tuple:
         """Per-slot columns of the coupled block ``running`` stands at:
-        ``(fetch, wires, ops, pads, probes)`` over ``running`` in core
-        order -- the cores whose I-fetch line starts at the slot, the
-        PUT/BCAST and the other real ops as ``(core, stats, op, handler,
-        srcs, dest)``, the ``CoreStats`` of the NOP-padded cores, and
-        each real op's scoreboard probe ``(core, reg_ready getter, srcs)``."""
+        ``(fetch, wires, ops, probes)`` over ``running`` in core order --
+        the cores whose I-fetch line starts at the slot, the PUT/BCAST
+        and the other real ops as ``(core, stats, op, handler, srcs,
+        dest)``, and each real op's scoreboard probe ``(core, reg_ready
+        getter, srcs)``; a NOP-padded core appears in none but ``fetch``."""
         blocks = [core.frame.block for core in running]
         if blocks[0].mode != "coupled":
             raise SimulatorError(
@@ -697,19 +733,18 @@ class VoltronMachine:
 
         columns = []
         for slot in range(len(blocks[0].slots)):
-            fetch, wires, ops, pads, probes = [], [], [], [], []
+            fetch, wires, ops, probes = [], [], [], []
             for core, block, get in zip(running, blocks, getters):
                 if (core.fetch_base + block.base_addr + slot) % core.fetch_span == 0:
                     fetch.append(core)
                 entry = block.decoded[slot]
                 if entry is None:
-                    pads.append(core.stats)
                     continue
                 op, handler, kind, srcs, dest = entry
                 (wires if kind == _WIRE else ops).append((core, core.stats, op, handler, srcs, dest))
                 if srcs:
                     probes.append((core, get, srcs))
-            columns.append((share(fetch), tuple(wires), tuple(ops), share(pads), tuple(probes)))
+            columns.append((share(fetch), tuple(wires), tuple(ops), tuple(probes)))
         return tuple(columns)
 
     # -- decoupled stepping --------------------------------------------------------

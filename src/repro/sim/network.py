@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import NetworkConfig
-from ..arch.mesh import Mesh
+from ..arch.mesh import Mesh, opposite
 from ..isa.registers import Value
 from .recovery import message_crc
 
@@ -80,14 +80,23 @@ class DirectWires:
 
     def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
+        self._links = mesh.links
+        # (core, direction) -> the wire a GET there latches: the
+        # neighbour's, driven back toward ``core``.
+        self._feeds = {
+            (core, direction): (driver, opposite(direction))
+            for (core, direction), driver in mesh.links.items()
+        }
         # (core, direction) -> (value, cycle driven)
         self._wires: Dict[Tuple[int, str], Tuple[Value, int]] = {}
         # src core -> (value, cycle driven)
         self._bcast: Dict[int, Tuple[Value, int]] = {}
 
     def put(self, core: int, direction: str, value: Value, cycle: int) -> None:
-        self.mesh.neighbor(core, direction)  # validates the hop exists
-        self._wires[(core, direction)] = (value, cycle)
+        wire = (core, direction)
+        if wire not in self._links:
+            self.mesh.neighbor(core, direction)  # raises: no hop that way
+        self._wires[wire] = (value, cycle)
 
     def get(
         self,
@@ -117,14 +126,14 @@ class DirectWires:
                     f"broadcast from core {bcast_src}"
                 )
             return entry[0]
-        driver = self.mesh.neighbor(core, direction)
-        from ..arch.mesh import opposite
-
-        entry = self._wires.get((driver, opposite(direction)))
+        wire = self._feeds.get((core, direction))
+        if wire is None:
+            self.mesh.neighbor(core, direction)  # raises: no hop that way
+        entry = self._wires.get(wire)
         if entry is None or entry[1] != cycle:
             raise NetworkError(
                 f"core {core} GET {direction} at cycle {cycle} found no PUT "
-                f"from core {driver}"
+                f"from core {wire[0]}"
             )
         return entry[0]
 

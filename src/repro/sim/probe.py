@@ -14,9 +14,12 @@ it.  Events the consumer lacks stay ``None``, so every site is a single
 ``is None`` check, a consumer may implement any subset, and a run with
 no consumer pays only those checks.  Consumers only read machine state:
 an observed run is bit-identical to an unobserved one.  The one write
-allowed is ``machine.awake.settle(end)``, which brings the stall counters
-of sleeping decoupled cores up to ``end`` before a consumer reads them in
-``cycle`` (sleepers are otherwise credited when they wake).
+allowed is ``machine.settle(end)``, which a consumer calls before it
+reads ``busy`` or stall counters in ``cycle``.  It covers both counters
+the machine credits lazily: the stall cycles of sleeping decoupled cores
+(otherwise credited when they wake) and the ``busy`` cycles of the
+coupled ensemble (otherwise credited to its members when the running set
+changes and when the run ends), brought up to ``end``.
 
 =============================================  =================================================
 event                                          emitted by

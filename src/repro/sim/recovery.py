@@ -478,9 +478,8 @@ class RecoveryManager:
             resume = max(resume, entry["wake"])
             self.placement[core_id] = core_id
         # Recovery owns this core's stall window end to end, so a direct
-        # assignment (not block_until) may shorten the provisional hold.
-        core.next_free = resume
-        core.pending_cause = "latency"
+        # hold (not block_until) may shorten the provisional one.
+        core.hold(resume, "latency")
 
     def _adopter(self, core_id: int) -> int:
         """The nearest surviving core by mesh distance (ties break to

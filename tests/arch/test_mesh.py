@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.arch import mesh as mesh_preset
 from repro.arch.mesh import DIRECTIONS, Mesh, opposite
+
+#: (d_row, d_col) per direction, spelled independently of the module's.
+STEPS = {"east": (0, 1), "west": (0, -1), "north": (-1, 0), "south": (1, 0)}
 
 
 class TestTopology:
@@ -87,3 +91,45 @@ class TestRouting:
                     assert mesh.hops(current, step) == 1
                     current = step
                 assert current == dst
+
+
+class TestTables:
+    """``Mesh.links`` and ``Mesh.hop_table`` (what the direct wires, the
+    queue router and the partitioner read) hold exactly what grid
+    arithmetic gives, and a missing hop still raises."""
+
+    @pytest.mark.parametrize("rows,cols,n", [
+        (*mesh_preset(16).mesh_shape, 16),
+        (*mesh_preset(32).mesh_shape, 32),
+        (*mesh_preset(64).mesh_shape, 64),
+        (3, 4, 10),  # a partial last row
+    ])
+    def test_tables_equal_grid_arithmetic(self, rows, cols, n):
+        grid = Mesh(rows, cols, n)
+        for core in range(n):
+            row, col = divmod(core, cols)
+            for direction in DIRECTIONS:
+                d_row, d_col = STEPS[direction]
+                r, c = row + d_row, col + d_col
+                if 0 <= r < rows and 0 <= c < cols and r * cols + c < n:
+                    assert grid.links[core, direction] == r * cols + c
+                    assert grid.neighbor(core, direction) == r * cols + c
+                else:
+                    assert (core, direction) not in grid.links
+                    with pytest.raises(ValueError, match=f"{direction} of core {core}"):
+                        grid.neighbor(core, direction)
+            for dst in range(n):
+                r, c = divmod(dst, cols)
+                assert grid.hop_table[core, dst] == abs(row - r) + abs(col - c)
+                assert grid.hops(core, dst) == grid.hop_table[core, dst]
+        assert len(grid.hop_table) == n * n
+
+    def test_out_of_range_cores_still_raise(self):
+        grid = Mesh(2, 2, 3)
+        for src, dst in ((0, 3), (-1, 0), (3, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                grid.hops(src, dst)
+        with pytest.raises(ValueError, match="out of range"):
+            grid.neighbor(-1, "east")
+        with pytest.raises(KeyError):
+            grid.neighbor(0, "up")

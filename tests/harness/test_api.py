@@ -81,6 +81,14 @@ class TestFacade:
     def test_run_figure_over_empty_suite(self):
         assert repro.run_figure("13", benchmarks=[]) == {}
 
+    @pytest.mark.parametrize("benchmarks", [["gsmdecode"], []])
+    def test_run_figure_rejects_benchmarks_beside_a_runner(self, benchmarks):
+        # The runner's suite is what would run: say so instead of
+        # dropping the caller's list.
+        runner = repro.session(["rawcaudio"])
+        with pytest.raises(ValueError, match="not both"):
+            repro.run_figure("13", benchmarks=benchmarks, runner=runner)
+
     def test_session_is_an_experiment_runner(self):
         runner = repro.session([], faults=FaultConfig(seed=9))
         assert isinstance(runner, ExperimentRunner)

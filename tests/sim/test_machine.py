@@ -545,6 +545,89 @@ class TestProgramArgs:
             VoltronMachine(compiled, mesh(1), args=(1,))
 
 
+class TestClusteredStallBus:
+    """The coupled kernel reads the stall bus without walking the
+    ensemble while no core is held and no cluster-penalty flag is left
+    to clear; the cycles are stepped by hand."""
+
+    def _machine(self):
+        """Two cores, each its own stall-bus cluster (every stall episode
+        pays the cluster penalty once), stepped past their one cold
+        I-fetch (the block fits one fetch line)."""
+        base = mesh(2)
+        config = dataclasses.replace(
+            base, coupled_group_size=1,
+            l1i=dataclasses.replace(base.l1i, line_words=64),
+        )
+        slots = [op(Opcode.NOP) for _ in range(40)] + [op(Opcode.HALT)]
+        compiled = assemble(2, {
+            core: [("entry", slots, None, None)] for core in (0, 1)
+        })
+        machine = VoltronMachine(compiled, config)
+        assert machine._cluster_penalty > 0
+        while not machine._step_group():
+            machine.cycle += 1
+        machine.cycle += 1
+        assert machine.cores[0].frame.slot == 1
+        assert not any(core.penalized for core in machine.cores)
+        return machine
+
+    @staticmethod
+    def _step(machine, cycles=1):
+        for _ in range(cycles):
+            machine._step_group()
+            machine.cycle += 1
+
+    def test_a_penalized_core_rejoining_free_pays_its_next_episode(self):
+        machine = self._machine()
+        penalty = machine._cluster_penalty
+        lead, other = machine.cores
+        self._step(machine, 2)
+        start = machine.cycle
+        lead.block_until(start + 3, "dstall")
+        self._step(machine)  # the walk sees the episode and stretches it
+        assert lead.penalized and lead.next_free == start + 3 + penalty
+        # The lead leaves the ensemble still flagged; the other runs on
+        # alone past the end of the lead's hold.
+        lead.status = "barrier"
+        machine._positions_moved = True
+        self._step(machine, penalty + 6)
+        assert lead.penalized and machine.cycle > lead.next_free
+        # It rejoins free, at the other's slot: its flag clears...
+        lead.status = "running"
+        lead.frame.slot = other.frame.slot
+        machine._positions_moved = True
+        self._step(machine)
+        assert not lead.penalized
+        # ...so its next episode pays the penalty again.
+        start = machine.cycle
+        lead.block_until(start + 3, "dstall")
+        self._step(machine)
+        assert lead.penalized and lead.next_free == start + 3 + penalty
+
+    def test_the_bus_is_walked_only_while_a_core_may_be_held(self):
+        machine = self._machine()
+        walks = []
+        walk = machine._stall_bus
+        machine._stall_bus = lambda running, cycle: (
+            walks.append(cycle) or walk(running, cycle)
+        )
+        self._step(machine, 4)
+        assert walks == []
+        start = machine.cycle
+        machine.cores[1].block_until(start + 2, "dstall")
+        self._step(machine, 8)
+        # Walked through the penalized hold and once more to clear it.
+        release = start + 2 + machine._cluster_penalty
+        assert walks == list(range(start, release + 1))
+        assert machine.watermark.until == release
+        # Issued cycles reach busy in bulk, at settle.
+        issued = 1 + 4 + 8 - (release - start)
+        assert [c.stats.busy for c in machine.cores] == [0, 0]
+        machine.settle(machine.cycle)
+        assert [c.stats.busy for c in machine.cores] == [issued, issued]
+
+
 class TestCoupledStepping:
     """The lock-step kernel at its edges: where it must fetch, and an
     ensemble some of whose members have stopped."""

@@ -33,6 +33,36 @@ class TestDirectWires:
         with pytest.raises(ValueError):
             wires.put(0, "west", 1, cycle=0)
 
+    def test_put_toward_missing_neighbor_raises_every_time(self):
+        # Before and after a valid PUT from the same core: the wire
+        # table never learns a hop the mesh lacks.
+        wires = DirectWires(Mesh(2, 2, 3))  # no core south of core 1
+        for cycle in (0, 0):
+            with pytest.raises(ValueError, match="no neighbor east of core 1"):
+                wires.put(1, "east", 1, cycle)
+            with pytest.raises(ValueError, match="no core south of core 1"):
+                wires.put(1, "south", 1, cycle)
+        wires.put(1, "west", 7, cycle=1)
+        assert wires.get(0, "east", cycle=1) == 7
+        for cycle in (1, 2):
+            with pytest.raises(ValueError, match="no neighbor east of core 1"):
+                wires.put(1, "east", 1, cycle)
+            with pytest.raises(ValueError, match="no core south of core 1"):
+                wires.put(1, "south", 1, cycle)
+
+    def test_get_from_missing_neighbor_raises(self):
+        wires = DirectWires(Mesh(2, 2, 3))
+        wires.put(0, "east", 7, cycle=0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no core south of core 1"):
+                wires.get(1, "south", cycle=0)
+        assert wires.get(1, "west", cycle=0) == 7
+
+    def test_get_names_the_silent_driver(self):
+        wires = DirectWires(Mesh(2, 2, 4))
+        with pytest.raises(NetworkError, match="found no PUT from core 2"):
+            wires.get(3, "west", cycle=0)
+
     def test_both_directions_simultaneously(self):
         wires = DirectWires(Mesh(1, 2, 2))
         wires.put(0, "east", 1, cycle=0)
