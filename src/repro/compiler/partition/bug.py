@@ -14,7 +14,7 @@ are not partitioned here; callers handle replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...arch.mesh import Mesh
 from ...isa.latencies import scheduling_latency
@@ -80,11 +80,13 @@ class BugPartitioner:
             gid = group_of.get(op.uid)
             if gid is not None and gid in group_core:
                 forced = group_core[gid]
-            core = forced if forced is not None else self._best_core(
-                op, graph, assignment, finish, state
-            )
+            if forced is None:
+                core, done = self._best_core(op, graph, assignment, finish, state)
+            else:
+                core = forced
+                done = self._completion(op, core, graph, assignment, finish, state)
             assignment[op.uid] = core
-            finish[op.uid] = self._completion(op, core, graph, assignment, finish, state)
+            finish[op.uid] = done
             state.assign(op, core, finish[op.uid])
             if gid is not None:
                 group_core[gid] = core
@@ -124,16 +126,17 @@ class BugPartitioner:
         assignment: Dict[int, int],
         finish: Dict[int, int],
         state: "_State",
-    ) -> int:
+    ) -> Tuple[int, float]:
+        """The core with the cheapest completion plus core penalty, and
+        the op's completion there (its ``finish``)."""
         best_core = 0
-        best_cost = None
+        best_cost = best_done = None
         for core in range(self.n_cores):
-            cost = self._completion(op, core, graph, assignment, finish, state)
-            cost += self.core_penalty(op, core, state)
+            done = self._completion(op, core, graph, assignment, finish, state)
+            cost = done + self.core_penalty(op, core, state)
             if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_core = core
-        return best_core
+                best_cost, best_core, best_done = cost, core, done
+        return best_core, best_done
 
     def _comm_latency(self, src_core: int, dst_core: int) -> float:
         n_cores = self.mesh.n_cores
