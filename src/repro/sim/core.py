@@ -112,12 +112,13 @@ class Core:
         # Asleep while it owes ``owed`` per cycle since ``since`` (AwakeSet).
         self.owed: Optional[str] = None
         self.since, self.wake = 0, None
-        # Fetch marker: slots [.., _fetch_end) of _fetch_block are fetched.
-        # The machine sets fetch_base to the stream's first instruction
-        # address and fetch_span to the I-cache line size, or to 1 (one
-        # fetch per slot) under a fault plan.
-        self._fetch_block: Optional[CoreBlock] = None
-        self._fetch_end = 0
+        # Fetch marker: slots [.., fetch_end) of fetch_block are fetched
+        # (take_fetch; the coupled kernel writes it from its columns'
+        # fetch entries).  The machine sets fetch_base to the stream's
+        # first instruction address and fetch_span to the I-cache line
+        # size, or to 1 (one fetch per slot) under a fault plan.
+        self.fetch_block: Optional[CoreBlock] = None
+        self.fetch_end = 0
         self.fetch_base = 0
         self.fetch_span = 1
         # Fine-grain thread state.
@@ -131,12 +132,12 @@ class Core:
         entry = function.block(function.entry)
         self.stack.append(CoreFrame(function, entry, slot=0, return_dest=return_dest))
         self.frame = self.stack[-1]
-        self._fetch_block = None
+        self.fetch_block = None
 
     def pop_frame(self) -> CoreFrame:
         frame = self.stack.pop()
         self.frame = self.stack[-1] if self.stack else None
-        self._fetch_block = None
+        self.fetch_block = None
         return frame
 
     @property
@@ -157,7 +158,7 @@ class Core:
         frame = self.frame
         frame.block = frame.function.block(label)
         frame.slot = 0
-        self._fetch_block = None
+        self.fetch_block = None
 
     def advance_slot(self) -> None:
         self.frame.slot += 1
@@ -180,13 +181,21 @@ class Core:
         frame = self.frame
         block = frame.block
         slot = frame.slot
-        if block is self._fetch_block and slot < self._fetch_end:
+        if block is self.fetch_block and slot < self.fetch_end:
             return None
         addr = block.base_addr + slot
         span = self.fetch_span
-        self._fetch_block = block
-        self._fetch_end = slot + span - (self.fetch_base + addr) % span
+        self.fetch_block = block
+        self.fetch_end = slot + span - (self.fetch_base + addr) % span
         return addr
+
+    def fetch_entry(self, block: CoreBlock, slot: int) -> Tuple["Core", CoreBlock, int, int]:
+        """``(core, block, address, line end)`` of fetching ``slot`` of
+        ``block``: the I-cache address and the end of the fetch span it
+        starts (the marker then covers ``[slot, end)``)."""
+        addr = self.fetch_base + block.base_addr + slot
+        span = self.fetch_span
+        return self, block, addr, slot + span - addr % span
 
     # -- registers and scoreboard --------------------------------------------------
 

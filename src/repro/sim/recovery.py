@@ -334,7 +334,7 @@ class RecoveryManager:
         # both -- any poisoned value that leaked into results would break
         # the chaos differential's bit-identity.
         core.poison_registers(_POISON)
-        core._fetch_block = None
+        core.fetch_block = None
         # The watchdog hears the missed heartbeats over the stall
         # fabric; on clustered machines the silence must propagate up
         # the cluster-level stall network first.
@@ -430,6 +430,7 @@ class RecoveryManager:
         # the chunk -- identical to a conflict abort at commit.
         machine.tm.abort(core_id)
         restart = core.rollback_registers()
+        machine._sync_slots()  # the frames take over from a coupled ensemble
         core.jump(restart)
         machine._positions_moved = True
         self.counters["chunk_rollbacks"] += 1
