@@ -19,7 +19,9 @@ reads ``busy`` or stall counters in ``cycle``.  It covers both counters
 the machine credits lazily: the stall cycles of sleeping decoupled cores
 (otherwise credited when they wake) and the ``busy`` cycles of the
 coupled ensemble (otherwise credited to its members when the running set
-changes and when the run ends), brought up to ``end``.
+changes and when the run ends), brought up to ``end``.  It also writes
+the coupled ensemble's slot into its cores' frames: inside a coupled
+block a running core's ``frame.slot`` lags (its block does not).
 
 =============================================  =================================================
 event                                          emitted by
